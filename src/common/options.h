@@ -29,16 +29,6 @@ struct Options {
   /// ratios are intended for tests that target shard-local behavior.
   size_t buffer_pool_shards = 0;
 
-  /// Optimistic latch-free read path (DESIGN.md §15). When true, read-only
-  /// point lookups (PiTree::Get, TsbTree::GetAsOf/SnapshotGet) first attempt
-  /// a version-validated copy-out descent under an epoch guard — no shard
-  /// mutexes, no latch-word writes, no pins — falling back to the latched
-  /// traversal when validation fails, the page is not optimistically
-  /// resident (cold, or pending lazy redo under instant restore), or the
-  /// bounded retry budget is exhausted. Purely a performance knob: both
-  /// paths return the same answers under the same 2PL locking.
-  bool optimistic_reads = true;
-
   /// Group-commit window for WAL commit forces, in microseconds. A force
   /// parks the caller until its record is durable; the first waiter is
   /// elected leader and waits this long before the batch sync so that

@@ -1,3 +1,6 @@
+// lint:allow-naked-latch -- splits X-latch fresh nodes and the promoted
+// source, posting U-couples root to leaf, scans S-latch one node at a time;
+// descents run through the pitree/descent.h kernel.
 #include "common/thread_annotations.h"
 #include "mdtree/md_tree.h"
 
@@ -22,24 +25,6 @@ namespace {
 constexpr char kPrefixSibling = '\x01';
 constexpr char kPrefixPoint = '\x02';
 constexpr char kPrefixIndex = '\x03';
-
-// lint:latch-helper
-// lint:tsa-escape -- mode-dispatched acquire: which capability kind is
-// taken is a runtime value clang cannot model; call sites are checked
-// dynamically (src/analysis/) and by tools/analyze.
-void AcquireMode(Latch& latch, LatchMode mode) NO_THREAD_SAFETY_ANALYSIS {
-  switch (mode) {
-    case LatchMode::kShared:
-      latch.AcquireS();
-      break;
-    case LatchMode::kUpdate:
-      latch.AcquireU();
-      break;
-    case LatchMode::kExclusive:
-      latch.AcquireX();
-      break;
-  }
-}
 
 MdRect Intersect(const MdRect& a, const MdRect& b) {
   MdRect r;
@@ -159,7 +144,7 @@ Status MdTree::Create(EngineContext* ctx, PageId root)
   return ctx->txns->Commit(action);
 }
 
-Status MdTree::NodeRect(const NodeRef& node, MdRect* rect) const {
+Status MdTree::NodeRect(const NodeRef& node, MdRect* rect) {
   if (node.low_is_neg_inf() || !DecodeRect(node.low_key(), rect)) {
     return Status::Corruption("md node lacks a rectangle");
   }
@@ -202,80 +187,43 @@ bool MdTree::DirectlyContainsPoint(const NodeRef& node, const MdRect& rect,
 // Traversal
 // ---------------------------------------------------------------------------
 
-// lint:tsa-escape -- hands latched pages across the call boundary (§4.1
-// crabbing); the protocol is enforced by the runtime checker and
-// tools/analyze, not the intraprocedural static analysis.
-Status MdTree::DescendToLeaf(
-    const Slice& pkey, uint32_t x, uint32_t y, LatchMode mode,
-    PageHandle* leaf, std::vector<std::pair<uint32_t, uint32_t>>* pending)
-    NO_THREAD_SAFETY_ANALYSIS {
-  (void)pkey;
-  PageHandle cur;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
-  cur.latch().AcquireS();
-  if (NodeRef(cur.data()).is_leaf() && mode != LatchMode::kShared) {
-    cur.latch().ReleaseS();
-    AcquireMode(cur.latch(), mode);
+bool MdPolicy::Covers(const NodeRef& node) const {
+  MdRect rect;
+  return MdTree::NodeRect(node, &rect).ok() && rect.Contains(x, y);
+}
+
+Step MdPolicy::Route(const NodeRef& node, uint8_t target_level) const {
+  MdRect rect;
+  if (!MdTree::NodeRect(node, &rect).ok()) {
+    return Step::Corrupt("md node lacks a rectangle");
   }
-  for (;;) {
-    NodeRef node(cur.data());
-    LatchMode cur_mode =
-        (node.is_leaf() && mode != LatchMode::kShared) ? mode
-                                                       : LatchMode::kShared;
-    MdRect rect;
-    PITREE_RETURN_IF_ERROR(NodeRect(node, &rect));
-    // Side traversal: the point lies in a delegated sub-rectangle. The
-    // crossing exposes a possibly-unposted split (§5.1).
-    SiblingTerm via;
-    bool moved = false;
-    while (!DirectlyContainsPoint(NodeRef(cur.data()), rect, x, y, &via)) {
-      if (via.page == kInvalidPageId) {
-        cur.latch().Release(cur_mode);
-        return Status::Corruption("md: point outside node and siblings");
-      }
-      stats_.side_traversals.fetch_add(1, std::memory_order_relaxed);
-      if (pending != nullptr) pending->emplace_back(x, y);
-      PageHandle next;
-      PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(via.page, &next));
-      AcquireMode(next.latch(), cur_mode);
-      cur.latch().Release(cur_mode);
-      cur = std::move(next);
-      PITREE_RETURN_IF_ERROR(NodeRect(NodeRef(cur.data()), &rect));
-      moved = true;
-      via = SiblingTerm();
+  // The point lies in a sub-rectangle delegated through a sibling term.
+  MdTree::SiblingTerm via;
+  if (!MdTree::DirectlyContainsPoint(node, rect, x, y, &via)) {
+    if (via.page == kInvalidPageId) {
+      return Step::Corrupt("md: point outside node and siblings");
     }
-    (void)moved;
-    NodeRef node2(cur.data());
-    if (node2.is_leaf()) {
-      if (cur_mode != mode) {
-        Lsn seen = cur.page_lsn();
-        cur.latch().ReleaseS();
-        AcquireMode(cur.latch(), mode);
-        if (cur.page_lsn() != seen) {
-          cur.latch().Release(mode);
-          cur.Reset();
-          return Status::Busy("md: leaf changed during latch upgrade");
-        }
-      }
-      *leaf = std::move(cur);
-      return Status::OK();
-    }
-    // Pick the most specific index term covering the point.
-    PageId child = FindChildForPoint(node2, x, y);
-    if (child == kInvalidPageId) {
-      cur.latch().Release(cur_mode);
-      return Status::Corruption("md: no index term covers point");
-    }
-    PageHandle ch;
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(child, &ch));
-    uint8_t child_level = node2.level() - 1;
-    LatchMode child_mode = (child_level == 0 && mode != LatchMode::kShared)
-                               ? mode
-                               : LatchMode::kShared;
-    AcquireMode(ch.latch(), child_mode);
-    cur.latch().Release(cur_mode);
-    cur = std::move(ch);
+    return Step::Side(via.page);
   }
+  if (node.level() == target_level) return Step::Here();
+  PageId child = FindChildForPoint(node, x, y);
+  if (child == kInvalidPageId) {
+    return Step::Corrupt("md: no index term covers point");
+  }
+  return Step::Child(child);
+}
+
+Status MdTree::Descend(uint32_t x, uint32_t y, LatchMode mode,
+                       std::vector<SideHop>* hops, PageHandle* leaf) const {
+  Descent d;
+  d.target_mode = mode;
+  d.counters.side = &stats_.side_traversals;
+  Status s = LatchedDescend(ctx_->pool, root_, MdPolicy{x, y}, &d);
+  if (hops != nullptr) {
+    hops->insert(hops->end(), d.side_hops.begin(), d.side_hops.end());
+  }
+  *leaf = std::move(d.node);
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -711,13 +659,12 @@ Status MdTree::PostIndexTerm(uint32_t x, uint32_t y) NO_THREAD_SAFETY_ANALYSIS {
       fixed_or_done = true;
     }
     // Check whether the path is now complete; if not, loop and fix more.
-    std::vector<std::pair<uint32_t, uint32_t>> probe_pending;
+    std::vector<SideHop> hops;
     PageHandle leaf;
-    Status s = DescendToLeaf(PointKey(x, y), x, y, LatchMode::kShared, &leaf,
-                             &probe_pending);
+    Status s = Descend(x, y, LatchMode::kShared, &hops, &leaf);
     if (!s.ok()) return s;
     leaf.latch().ReleaseS();
-    if (probe_pending.empty()) return Status::OK();
+    if (hops.empty()) return Status::OK();
   }
   return Status::OK();
 }
@@ -732,12 +679,12 @@ Status MdTree::PostIndexTerm(uint32_t x, uint32_t y) NO_THREAD_SAFETY_ANALYSIS {
 Status MdTree::Insert(Transaction* txn, uint32_t x, uint32_t y,
                       const Slice& value) NO_THREAD_SAFETY_ANALYSIS {
   std::string pkey = PointKey(x, y);
-  std::vector<std::pair<uint32_t, uint32_t>> pending;
+  std::vector<SideHop> hops;
+  bool split = false;
   Status result;
   for (;;) {
     PageHandle leaf;
-    PITREE_RETURN_IF_ERROR(
-        DescendToLeaf(pkey, x, y, LatchMode::kUpdate, &leaf, &pending));
+    PITREE_RETURN_IF_ERROR(Descend(x, y, LatchMode::kUpdate, &hops, &leaf));
     std::string rname = RecordLockName(root_, pkey);
     Status s = ctx_->locks->Lock(txn, rname, LockMode::kX, /*wait=*/false);
     if (s.IsBusy()) {
@@ -761,7 +708,7 @@ Status MdTree::Insert(Transaction* txn, uint32_t x, uint32_t y,
       if (!s.ok()) return s;
       // §3.2.1 step 6: schedule the posting of the new sibling's index
       // term (a separate atomic action, run after this operation).
-      pending.emplace_back(x, y);
+      split = true;
       continue;
     }
     leaf.latch().PromoteUToX();
@@ -772,9 +719,7 @@ Status MdTree::Insert(Transaction* txn, uint32_t x, uint32_t y,
     result = s;
     break;
   }
-  if (!pending.empty()) {
-    (void)PostIndexTerm(pending.front().first, pending.front().second);
-  }
+  if (split || !hops.empty()) (void)PostIndexTerm(x, y);
   return result;
 }
 
@@ -784,10 +729,9 @@ Status MdTree::Insert(Transaction* txn, uint32_t x, uint32_t y,
 Status MdTree::Get(Transaction* txn, uint32_t x, uint32_t y,
                    std::string* value) NO_THREAD_SAFETY_ANALYSIS {
   std::string pkey = PointKey(x, y);
-  std::vector<std::pair<uint32_t, uint32_t>> pending;
+  std::vector<SideHop> hops;
   PageHandle leaf;
-  PITREE_RETURN_IF_ERROR(
-      DescendToLeaf(pkey, x, y, LatchMode::kShared, &leaf, &pending));
+  PITREE_RETURN_IF_ERROR(Descend(x, y, LatchMode::kShared, &hops, &leaf));
   std::string rname = RecordLockName(root_, pkey);
   Status s = ctx_->locks->Lock(txn, rname, LockMode::kS, /*wait=*/false);
   if (s.IsBusy()) {
@@ -795,8 +739,7 @@ Status MdTree::Get(Transaction* txn, uint32_t x, uint32_t y,
     leaf.Reset();
     PITREE_RETURN_IF_ERROR(
         ctx_->locks->Lock(txn, rname, LockMode::kS, /*wait=*/true));
-    PITREE_RETURN_IF_ERROR(
-        DescendToLeaf(pkey, x, y, LatchMode::kShared, &leaf, &pending));
+    PITREE_RETURN_IF_ERROR(Descend(x, y, LatchMode::kShared, &hops, &leaf));
   } else if (!s.ok()) {
     leaf.latch().ReleaseS();
     return s;
@@ -813,9 +756,7 @@ Status MdTree::Get(Transaction* txn, uint32_t x, uint32_t y,
   }
   leaf.latch().ReleaseS();
   leaf.Reset();
-  if (!pending.empty()) {
-    (void)PostIndexTerm(pending.front().first, pending.front().second);
-  }
+  if (!hops.empty()) (void)PostIndexTerm(x, y);
   return result;
 }
 
@@ -825,12 +766,11 @@ Status MdTree::Get(Transaction* txn, uint32_t x, uint32_t y,
 Status MdTree::Delete(Transaction* txn, uint32_t x, uint32_t y)
     NO_THREAD_SAFETY_ANALYSIS {
   std::string pkey = PointKey(x, y);
-  std::vector<std::pair<uint32_t, uint32_t>> pending;
+  std::vector<SideHop> hops;
   Status result;
   for (;;) {
     PageHandle leaf;
-    PITREE_RETURN_IF_ERROR(
-        DescendToLeaf(pkey, x, y, LatchMode::kUpdate, &leaf, &pending));
+    PITREE_RETURN_IF_ERROR(Descend(x, y, LatchMode::kUpdate, &hops, &leaf));
     std::string rname = RecordLockName(root_, pkey);
     Status s = ctx_->locks->Lock(txn, rname, LockMode::kX, /*wait=*/false);
     if (s.IsBusy()) {
@@ -858,9 +798,7 @@ Status MdTree::Delete(Transaction* txn, uint32_t x, uint32_t y)
     result = s;
     break;
   }
-  if (!pending.empty()) {
-    (void)PostIndexTerm(pending.front().first, pending.front().second);
-  }
+  if (!hops.empty()) (void)PostIndexTerm(x, y);
   return result;
 }
 
@@ -934,10 +872,8 @@ Status MdTree::CheckCoverage(
   std::ostringstream errors;
   int bad = 0;
   for (const auto& [x, y] : probes) {
-    std::vector<std::pair<uint32_t, uint32_t>> pending;
     PageHandle leaf;
-    Status s = const_cast<MdTree*>(this)->DescendToLeaf(
-        PointKey(x, y), x, y, LatchMode::kShared, &leaf, &pending);
+    Status s = Descend(x, y, LatchMode::kShared, nullptr, &leaf);
     if (!s.ok()) {
       errors << "probe (" << x << "," << y << "): " << s.ToString() << "\n";
       ++bad;

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "engine/engine_context.h"
+#include "pitree/descent.h"
 #include "pitree/node_page.h"
 #include "storage/buffer_pool.h"
 #include "txn/transaction.h"
@@ -122,6 +123,7 @@ class MdTree {
 
  private:
   friend class MdTreeTestPeer;
+  friend struct MdPolicy;
 
   struct SiblingTerm {
     MdRect rect;
@@ -129,17 +131,17 @@ class MdTree {
     std::string entry_key;  // the reserved in-node entry key
   };
 
-  Status NodeRect(const NodeRef& node, MdRect* rect) const;
+  static Status NodeRect(const NodeRef& node, MdRect* rect);
   static std::vector<SiblingTerm> SiblingTerms(const NodeRef& node);
   static bool DirectlyContainsPoint(const NodeRef& node, const MdRect& rect,
                                     uint32_t x, uint32_t y,
                                     SiblingTerm* via_sibling);
 
-  /// Descends to the data node directly containing (x, y); schedules
-  /// postings for crossed side pointers into `pending`.
-  Status DescendToLeaf(const Slice& pkey, uint32_t x, uint32_t y,
-                       LatchMode mode, PageHandle* leaf,
-                       std::vector<std::pair<uint32_t, uint32_t>>* pending);
+  /// Descends to the data node directly containing (x, y), latched in
+  /// `mode`; crossed side pointers (possibly unposted splits) are appended
+  /// to `hops` when non-null.
+  Status Descend(uint32_t x, uint32_t y, LatchMode mode,
+                 std::vector<SideHop>* hops, PageHandle* leaf) const;
 
   /// Splits the X-latched node (leaf or index) inside atomic action
   /// `action`; emits the new sibling for posting via out-params.
@@ -158,6 +160,16 @@ class MdTree {
   const PageId root_;
   int max_index_fanout_ = 1 << 20;  // effectively unlimited
   mutable MdStats stats_;
+};
+
+/// Descent policy of the multi-attribute tree (DESIGN.md §17): a node
+/// delegates sub-rectangles of its space through sibling terms, and the
+/// child for a point is the smallest index rectangle covering it.
+struct MdPolicy {
+  uint32_t x, y;
+
+  bool Covers(const NodeRef& node) const;
+  Step Route(const NodeRef& node, uint8_t target_level) const;
 };
 
 }  // namespace pitree

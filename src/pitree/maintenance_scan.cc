@@ -36,9 +36,8 @@ Status PiTree::SweepForConsolidation(size_t max_nodes, std::string* cursor,
   op.txn = nullptr;
   Slice start = cursor->empty() ? Slice("\0", 1) : Slice(*cursor);
   Descent d;
-  PITREE_RETURN_IF_ERROR(DescendTo(&op, start, /*target_level=*/0,
-                                   LatchMode::kShared, /*keep_parent=*/false,
-                                   nullptr, &d));
+  PITREE_RETURN_IF_ERROR(Descend(&op, start, /*target_level=*/0,
+                                   LatchMode::kShared, nullptr, &d));
   PageHandle cur = std::move(d.node);
   Status s;
   while (*examined < max_nodes) {

@@ -1,14 +1,13 @@
+// lint:latch-helper
 #include "common/thread_annotations.h"
 #include "pitree/pi_tree.h"
 
 #include <cassert>
-#include <memory>
 
 #include "analysis/latch_checker.h"
 #include "common/coding.h"
 #include "engine/log_apply.h"
 #include "maintenance/maintenance_service.h"
-#include "storage/epoch.h"
 #include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
 #include "wal/wal_manager.h"
@@ -48,26 +47,6 @@ Status PiTree::Create(EngineContext* ctx, PageId root)
 // ---------------------------------------------------------------------------
 // Traversal
 // ---------------------------------------------------------------------------
-
-namespace {
-// lint:latch-helper
-// lint:tsa-escape -- mode-dispatched acquire: which capability kind is
-// taken is a runtime value clang cannot model; call sites are checked
-// dynamically (src/analysis/) and by tools/analyze.
-void AcquireMode(Latch& latch, LatchMode mode) NO_THREAD_SAFETY_ANALYSIS {
-  switch (mode) {
-    case LatchMode::kShared:
-      latch.AcquireS();
-      break;
-    case LatchMode::kUpdate:
-      latch.AcquireU();
-      break;
-    case LatchMode::kExclusive:
-      latch.AcquireX();
-      break;
-  }
-}
-}  // namespace
 
 bool PiTree::MoveLockVisible(Transaction* txn, PageId page) const {
   if (!ctx_->options.page_oriented_undo) return false;
@@ -116,240 +95,82 @@ void PiTree::MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node,
   op->pending.push_back(std::move(job));
 }
 
-// lint:tsa-escape -- hands latched pages across the call boundary (§4.1
+// lint:tsa-escape -- hands the latched start node to the descent (§4.1
 // crabbing); the protocol is enforced by the runtime checker and
 // tools/analyze, not the intraprocedural static analysis.
-Status PiTree::MoveRight(OpCtx* op, const Slice& key, LatchMode mode,
-                         PageHandle* cur) NO_THREAD_SAFETY_ANALYSIS {
-  const bool couple = ctx_->options.consolidation_enabled;  // CP vs CNS, §5.2
-  for (;;) {
-    // Every node the traversal touches funnels through here; a page that is
-    // not a tree node means structural damage (e.g. a side pointer read out
-    // of a torn page). Surface it as a status instead of wandering through
-    // bytes that reinterpret as arbitrary side pointers.
-    if (PageGetType(cur->data()) != PageType::kTreeNode) {
-      cur->latch().Release(mode);
-      return Status::Corruption("page " + std::to_string(cur->id()) +
-                                " is not a tree node");
+Status PiTree::StartFromSavedPath(const SavedPath& hint, Descent* d)
+    NO_THREAD_SAFETY_ANALYSIS {
+  if (ctx_->options.consolidation_enabled) {
+    // §5.2.2 strategy (a): state ids say nothing about de-allocation, so
+    // re-traversals start at the (immortal) root, trusting remembered
+    // children only below nodes whose state ids still match.
+    if (!ctx_->options.dealloc_is_node_update) return Status::OK();
+    // §5.2.2 strategy (b): de-allocation bumps the state id, so a
+    // remembered node whose state id is unchanged is guaranteed live.
+    // Probe from the deepest entry upward.
+    for (auto it = hint.nodes.rbegin(); it != hint.nodes.rend(); ++it) {
+      if (it->level < d->target_level) continue;
+      PageHandle probe;
+      PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(it->page, &probe));
+      LatchMode m = it->level == d->target_level ? d->target_mode
+                                                 : LatchMode::kShared;
+      AcquireMode(probe.latch(), m);
+      if (probe.page_lsn() == it->state_id) {
+        analysis::NoteTreeLevel(&probe.latch(), it->level);
+        d->node = std::move(probe);
+        d->mode = m;
+        stats_.saved_path_hits.fetch_add(1, std::memory_order_relaxed);
+        return Status::OK();
+      }
+      probe.latch().Release(m);
+      stats_.saved_path_misses.fetch_add(1, std::memory_order_relaxed);
     }
-    NodeRef node(cur->data());
-    if (node.BelowHigh(key)) return Status::OK();
-    PageId next_pid = node.right_sibling();
-    if (next_pid == kInvalidPageId) {
-      return Status::Corruption("side chain ended before covering key");
-    }
-    stats_.side_traversals.fetch_add(1, std::memory_order_relaxed);
-    // Crossing a side pointer exposes a possibly-unposted split (§5.1).
-    SchedulePosting(op, node.level(), cur->id(), next_pid, key);
-    PageHandle next;
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(next_pid, &next));
-    // Sibling shares the level; capture it before `cur` can be released.
-    const int side_level = node.level();
-    if (couple) {
-      AcquireMode(next.latch(), mode);
-      analysis::NoteTreeLevel(&next.latch(), side_level);
-      cur->latch().Release(mode);
-    } else {
-      cur->latch().Release(mode);
-      AcquireMode(next.latch(), mode);
-      analysis::NoteTreeLevel(&next.latch(), side_level);
-    }
-    *cur = std::move(next);
+    return Status::OK();
   }
+  // CNS invariant: nodes are immortal and responsibility never shrinks.
+  // Start directly at the deepest remembered node at or above the target
+  // level (§5.2.1: re-traversals start with the remembered parent).
+  const PathEntry* best = nullptr;
+  for (const auto& e : hint.nodes) {
+    if (e.level >= d->target_level &&
+        (best == nullptr || e.level < best->level)) {
+      best = &e;
+    }
+  }
+  if (best == nullptr) return Status::OK();
+  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(best->page, &d->node));
+  d->mode = best->level == d->target_level ? d->target_mode
+                                           : LatchMode::kShared;
+  AcquireMode(d->node.latch(), d->mode);
+  // CNS nodes are immortal and their level never changes, so the
+  // remembered level is authoritative even for a stale hint.
+  analysis::NoteTreeLevel(&d->node.latch(), best->level);
+  stats_.saved_path_hits.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
-// lint:tsa-escape -- hands latched pages across the call boundary (§4.1
-// crabbing); the protocol is enforced by the runtime checker and
-// tools/analyze, not the intraprocedural static analysis.
-Status PiTree::DescendTo(OpCtx* op, const Slice& key, uint8_t target_level,
-                         LatchMode target_mode, bool keep_parent,
-                         const SavedPath* hint, Descent* out)
-    NO_THREAD_SAFETY_ANALYSIS {
-  const bool couple = ctx_->options.consolidation_enabled;
+Status PiTree::Descend(OpCtx* op, const Slice& key, uint8_t target_level,
+                       LatchMode target_mode, const SavedPath* hint,
+                       Descent* d) {
   op->path.Clear();
-
-  // ---- choose a starting node ------------------------------------------
-  PageHandle cur;
-  LatchMode cur_mode = LatchMode::kShared;
-  bool started_from_hint = false;
-
+  d->target_level = target_level;
+  d->target_mode = target_mode;
+  d->couple = ctx_->options.consolidation_enabled;  // CP vs CNS, §5.2
+  d->counters.side = &stats_.side_traversals;
+  d->path = &op->path;
   if (hint != nullptr && !hint->nodes.empty()) {
-    if (!ctx_->options.consolidation_enabled) {
-      // CNS invariant: nodes are immortal and responsibility never shrinks.
-      // Start directly at the deepest remembered node at or above the level
-      // just above the target (§5.2.1: re-traversals start with the
-      // remembered parent).
-      const PathEntry* best = nullptr;
-      for (const auto& e : hint->nodes) {
-        if (e.level >= target_level &&
-            (best == nullptr || e.level < best->level)) {
-          best = &e;
-        }
-      }
-      if (best != nullptr) {
-        PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(best->page, &cur));
-        cur_mode = (best->level == target_level) ? target_mode
-                                                 : LatchMode::kShared;
-        AcquireMode(cur.latch(), cur_mode);
-        // CNS nodes are immortal and their level never changes, so the
-        // remembered level is authoritative even for a stale hint.
-        analysis::NoteTreeLevel(&cur.latch(), best->level);
-        started_from_hint = true;
-        stats_.saved_path_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (ctx_->options.dealloc_is_node_update) {
-      // §5.2.2 strategy (b): de-allocation bumps the state id, so a
-      // remembered node whose state id is unchanged is guaranteed live.
-      // Probe from the deepest entry upward.
-      for (auto it = hint->nodes.rbegin(); it != hint->nodes.rend(); ++it) {
-        if (it->level < target_level) continue;
-        PageHandle probe;
-        // §5.2.2(b) hint probe: fetching the remembered page can read
-        // from disk while an outer descent latch is held; lock-coupled
-        // descent sanctions I/O under latches.
-        // analyze:allow-latch-io -- hint-probe fetch under descent latch
-        PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(it->page, &probe));
-        LatchMode m = (it->level == target_level) ? target_mode
-                                                  : LatchMode::kShared;
-        AcquireMode(probe.latch(), m);
-        if (probe.page_lsn() == it->state_id) {
-          // Unchanged state id guarantees the node is live at this level.
-          analysis::NoteTreeLevel(&probe.latch(), it->level);
-          cur = std::move(probe);
-          cur_mode = m;
-          started_from_hint = true;
-          stats_.saved_path_hits.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        probe.latch().Release(m);
-        stats_.saved_path_misses.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    // §5.2.2 strategy (a): state ids say nothing about de-allocation, so
-    // re-traversals must start at the (immortal) root; the saved path is
-    // still exploited below by verifying state ids level by level.
+    PITREE_RETURN_IF_ERROR(StartFromSavedPath(*hint, d));
+    if (!d->node.valid()) d->trusted = hint;
   }
-
-  if (!cur.valid()) {
-    // Root re-fetch after a hint probe: any probe latch was released on
-    // the miss path; the linear over-approximation still sees a hold.
-    // Crabbing I/O under a latch is legal regardless.
-    // analyze:allow-latch-io -- probe latches released before this fetch
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
-    NodeRef probe(cur.data());
-    // Latch mode depends on the root's level, which can change (root grow);
-    // loop until mode and level agree.
-    for (;;) {
-      Lsn unlatched_level_guess = 0;
-      (void)unlatched_level_guess;
-      cur_mode = LatchMode::kShared;
-      cur.latch().AcquireS();
-      if (NodeRef(cur.data()).level() == target_level &&
-          target_mode != LatchMode::kShared) {
-        cur.latch().ReleaseS();
-        AcquireMode(cur.latch(), target_mode);
-        if (NodeRef(cur.data()).level() != target_level) {
-          // Root grew between latches; retry.
-          cur.latch().Release(target_mode);
-          continue;
-        }
-        cur_mode = target_mode;
-      }
-      break;
-    }
-    analysis::NoteTreeLevel(&cur.latch(), NodeRef(cur.data()).level());
+  Status s = LatchedDescend(ctx_->pool, root_, BlinkPolicy{key}, d);
+  if (d->trusted_hits > 0) {
+    stats_.saved_path_hits.fetch_add(d->trusted_hits,
+                                     std::memory_order_relaxed);
   }
-
-  // ---- descend -----------------------------------------------------------
-  size_t hint_idx = 0;
-  if (hint != nullptr && !started_from_hint && couple &&
-      !ctx_->options.dealloc_is_node_update) {
-    // Strategy (a) path reuse: align the hint cursor with the root.
-    while (hint_idx < hint->nodes.size() &&
-           hint->nodes[hint_idx].page != cur.id()) {
-      ++hint_idx;
-    }
+  for (const SideHop& hop : d->side_hops) {
+    SchedulePosting(op, hop.level, hop.from, hop.to, key);
   }
-
-  for (;;) {
-    // §4.1 lateral traversal: MoveRight fetches the right sibling
-    // (possible pool miss -> disk read) while the current node's latch is
-    // held; latches tolerate I/O waits by design.
-    // analyze:allow-latch-io -- crabbing sibling fetch under held latch
-    PITREE_RETURN_IF_ERROR(MoveRight(op, key, cur_mode, &cur));
-    NodeRef node(cur.data());
-    op->path.Push(cur.id(), cur.page_lsn(), node.level());
-    if (node.level() == target_level) {
-      if (cur_mode != target_mode) {
-        // We arrived S-latched (e.g. hint landed directly on the target
-        // level). Upgrade by re-acquisition + revalidation.
-        Lsn seen = cur.page_lsn();
-        cur.latch().Release(cur_mode);
-        AcquireMode(cur.latch(), target_mode);
-        cur_mode = target_mode;
-        if (cur.page_lsn() != seen) {
-          NodeRef again(cur.data());
-          if (again.is_deallocated() || again.level() != target_level ||
-              !again.AtOrAboveLow(key)) {
-            cur.latch().Release(cur_mode);
-            return Status::Busy("node changed during latch upgrade");
-          }
-          op->path.nodes.back().state_id = cur.page_lsn();
-          continue;  // re-run MoveRight under the new latch
-        }
-      }
-      out->node = std::move(cur);
-      out->mode = cur_mode;
-      return Status::OK();
-    }
-
-    // Pick the child whose approximately-contained space covers key (§3.1).
-    int slot = node.FindChildSlot(key);
-    if (slot < 0) {
-      return Status::Corruption("index node lacks a child covering key");
-    }
-    IndexTerm term;
-    if (!DecodeIndexTerm(node.EntryValue(slot), &term)) {
-      return Status::Corruption("bad index term");
-    }
-    PageId child_pid = term.child;
-
-    // Saved-path fast-path (strategy (a)): if this node matches the hint,
-    // trust the remembered child (§5.3 step 1).
-    if (hint != nullptr && hint_idx < hint->nodes.size() &&
-        hint->nodes[hint_idx].page == cur.id()) {
-      if (cur.page_lsn() == hint->nodes[hint_idx].state_id &&
-          hint_idx + 1 < hint->nodes.size() &&
-          hint->nodes[hint_idx + 1].level + 1 == node.level()) {
-        child_pid = hint->nodes[hint_idx + 1].page;
-        stats_.saved_path_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      ++hint_idx;
-    }
-
-    uint8_t child_level = node.level() - 1;
-    LatchMode child_mode =
-        (child_level == target_level) ? target_mode : LatchMode::kShared;
-    PageHandle child;
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(child_pid, &child));
-    bool keep_this_parent = keep_parent && child_level == target_level;
-    if (couple || keep_this_parent) {
-      AcquireMode(child.latch(), child_mode);
-      if (keep_this_parent) {
-        out->parent = std::move(cur);
-        out->parent_held = true;
-        // Parent stays latched in cur_mode (S above target level).
-      } else {
-        cur.latch().Release(cur_mode);
-      }
-    } else {
-      cur.latch().Release(cur_mode);
-      AcquireMode(child.latch(), child_mode);
-    }
-    cur = std::move(child);
-    cur_mode = child_mode;
-    analysis::NoteTreeLevel(&cur.latch(), child_level);
-  }
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -423,135 +244,6 @@ Status PiTree::ExecuteJob(const CompletionJob& job) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimistic (latch-free) point lookup — DESIGN.md §15
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Attempts before giving up on the optimistic regime for this call. Each
-/// attempt restarts from the root, so retrying past a few failures just
-/// delays the guaranteed-progress latched path.
-constexpr int kOptimisticRetries = 3;
-/// Hop budget per attempt (child descents + side/history hops). The latched
-/// traversal has no bound because latches guarantee progress; a validated
-/// copy chain can in principle chase a moving frontier forever.
-constexpr int kOptimisticHopLimit = 64;
-
-/// Per-thread page-image scratch for copy-out reads. One page suffices:
-/// the descent fully consumes the parent copy (extracts the next PageId)
-/// before overwriting it with the child.
-char* OptimisticScratch() {
-  static thread_local std::unique_ptr<char[]> buf(new char[kPageSize]);
-  return buf.get();
-}
-}  // namespace
-
-Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
-                                    std::string* value) {
-  BufferPool* pool = ctx_->pool;
-  char* buf = OptimisticScratch();
-  // Side hops crossed during the descent: possibly-unposted splits whose
-  // completion hints must be scheduled *after* the epoch section closes
-  // (SchedulePosting probes the lock manager, a blocking mutex).
-  struct SideHop {
-    uint8_t level;
-    PageId from;
-    PageId sibling;
-  };
-  std::vector<SideHop> side_hops;
-  PageId leaf_pid = kInvalidPageId;
-  Status result;
-  {
-    EpochGuard epoch;
-    if (!epoch.active()) return Status::Busy("epoch slots exhausted");
-
-    OptimisticPage cur;
-    if (!pool->FetchOptimistic(root_, &cur)) {
-      return Status::Busy("root not optimistically resident");
-    }
-    if (!pool->ReadConsistent(cur, buf)) {
-      return Status::Busy("root copy did not validate");
-    }
-    int hop = 0;
-    for (;; ++hop) {
-      if (hop >= kOptimisticHopLimit) {
-        return Status::Busy("optimistic hop limit exceeded");
-      }
-      // The copy is validated (a real page state), but the route to it may
-      // be stale; any structural surprise aborts to the latched path rather
-      // than reasoning about it latch-free.
-      if (PageGetType(buf) != PageType::kTreeNode) {
-        return Status::Busy("optimistic copy is not a tree node");
-      }
-      NodeRef node(buf);
-      if (node.is_deallocated() || !node.AtOrAboveLow(key)) {
-        return Status::Busy("optimistic copy does not cover key");
-      }
-      PageId next;
-      if (!node.BelowHigh(key)) {
-        next = node.right_sibling();  // B-link side hop (§5.1)
-        if (next == kInvalidPageId) {
-          return Status::Busy("side chain ended before covering key");
-        }
-        stats_.side_traversals.fetch_add(1, std::memory_order_relaxed);
-        side_hops.push_back({node.level(), cur.id(), next});
-      } else if (node.is_leaf()) {
-        bool found = false;
-        int slot = node.FindSlot(key, &found);
-        if (found) {
-          *value = node.EntryValue(slot).ToString();
-          result = Status::OK();
-        } else {
-          result = Status::NotFound("key absent");
-        }
-        leaf_pid = cur.id();
-        break;
-      } else {
-        int slot = node.FindChildSlot(key);
-        if (slot < 0) return Status::Busy("no child covers key");
-        IndexTerm term;
-        if (!DecodeIndexTerm(node.EntryValue(slot), &term)) {
-          return Status::Busy("bad index term in optimistic copy");
-        }
-        next = term.child;
-      }
-      OptimisticPage nxt;
-      if (!pool->FetchOptimistic(next, &nxt)) {
-        return Status::Busy("child not optimistically resident");
-      }
-      // Version coupling: the child's window is open; if the pointer we
-      // followed is still current, the windows overlap and the chain of
-      // validated states is connected.
-      if (!pool->Revalidate(cur)) {
-        return Status::Busy("parent changed while following pointer");
-      }
-      if (!pool->ReadConsistent(nxt, buf)) {
-        return Status::Busy("child copy did not validate");
-      }
-      cur = nxt;
-    }
-  }
-  // Epoch closed: schedule the same maintenance hints a latched traversal
-  // would have (§5.1 postings for crossed side pointers, §3.3 consolidation
-  // for the under-utilized leaf). `buf` still holds the validated leaf copy.
-  for (const SideHop& h : side_hops) {
-    SchedulePosting(op, h.level, h.from, h.sibling, key);
-  }
-  MaybeScheduleConsolidate(op, NodeRef(buf), leaf_pid);
-  return result;
-}
-
-Status PiTree::GetOptimistic(OpCtx* op, const Slice& key, std::string* value) {
-  for (int attempt = 0; attempt < kOptimisticRetries; ++attempt) {
-    Status s = TryGetOptimisticOnce(op, key, value);
-    if (!s.IsBusy()) {
-      stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
-      return s;
-    }
-  }
-  return Status::Busy("optimistic descent did not settle");
-}
-
-// ---------------------------------------------------------------------------
 // Record operations
 // ---------------------------------------------------------------------------
 
@@ -561,56 +253,43 @@ Status PiTree::GetOptimistic(OpCtx* op, const Slice& key, std::string* value) {
 Status PiTree::Get(Transaction* txn, const Slice& key, std::string* value)
     NO_THREAD_SAFETY_ANALYSIS {
   if (key.empty()) return Status::InvalidArgument("empty key");
+  // Lock-first 2PL (DESIGN.md §15): the record lock name is computable
+  // without a descent, so the S lock is taken before any latch or epoch
+  // section — no latches held, so the blocking wait is trivially
+  // No-Wait-safe (§4.1.2). Once granted, no writer can change or move this
+  // key's record, and the lock-manager handoff orders the last writer's
+  // page updates before our copies. Both read paths below run under it.
+  if (txn != nullptr) {
+    PITREE_RETURN_IF_ERROR(ctx_->locks->Lock(
+        txn, RecordLockName(root_, key), LockMode::kS, /*wait=*/true));
+  }
   OpCtx op;
   op.txn = txn;
-  if (ctx_->options.optimistic_reads) {
-    // Lock-first 2PL: the record lock name is computable without a descent,
-    // so take the S lock *before* entering the epoch section (no latches
-    // held, so the blocking wait is trivially No-Wait-safe, §4.1.2). Once
-    // granted, no writer can change or move this key's record, and the
-    // lock-manager handoff orders the last writer's page updates before our
-    // copies. The latched fallback re-requests the same lock; the lock
-    // manager's conversion path grants a re-lock by the owner immediately.
-    if (txn != nullptr) {
-      PITREE_RETURN_IF_ERROR(ctx_->locks->Lock(
-          txn, RecordLockName(root_, key), LockMode::kS, /*wait=*/true));
+  BlinkPolicy policy{key};
+  OptimisticTrace trace;
+  Status s = OptimisticGet(ctx_->pool, root_, policy, value,
+                           {&stats_.side_traversals}, &trace);
+  if (!s.IsBusy()) {
+    stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
+    // The epoch is closed: schedule the hints a latched traversal would
+    // have (§5.1 postings for crossed side pointers, §3.3 consolidation of
+    // an under-utilized leaf); `trace.image` holds the validated leaf copy.
+    for (const SideHop& hop : trace.side_hops) {
+      SchedulePosting(&op, hop.level, hop.from, hop.to, key);
     }
-    Status s = GetOptimistic(&op, key, value);
-    if (!s.IsBusy()) {
-      FlushPending(&op);
-      return s;
-    }
+    MaybeScheduleConsolidate(&op, NodeRef(trace.image), trace.target);
+  } else {
     stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
-  Status result;
-  for (;;) {
     Descent d;
-    PITREE_RETURN_IF_ERROR(DescendTo(&op, key, /*target_level=*/0,
-                                     LatchMode::kShared,
-                                     /*keep_parent=*/false, nullptr, &d));
-    bool restart = false;
-    Status s = LockRecordNoWait(&op, &d.node, d.mode, key, LockMode::kS,
-                                &restart);
-    if (!s.ok()) {
-      FlushPending(&op);
-      return s;
-    }
-    if (restart) continue;
+    PITREE_RETURN_IF_ERROR(
+        Descend(&op, key, /*target_level=*/0, LatchMode::kShared, nullptr, &d));
     NodeRef node(d.node.data());
-    bool found = false;
-    int slot = node.FindSlot(key, &found);
-    if (found) {
-      *value = node.EntryValue(slot).ToString();
-      result = Status::OK();
-    } else {
-      result = Status::NotFound("key absent");
-    }
+    s = policy.Resolve(node, value).status;
     MaybeScheduleConsolidate(&op, node, d.node.id());
-    d.node.latch().Release(d.mode);
-    break;
+    d.node.latch().ReleaseS();
   }
   FlushPending(&op);
-  return result;
+  return s;
 }
 
 // lint:tsa-escape -- latch spans cross helper boundaries (the descent
@@ -622,9 +301,8 @@ Status PiTree::Scan(Transaction* txn, const Slice& start, size_t limit,
   OpCtx op;
   op.txn = txn;
   Descent d;
-  PITREE_RETURN_IF_ERROR(DescendTo(&op, start.empty() ? Slice("\0", 1) : start,
-                                   0, LatchMode::kShared, false, nullptr,
-                                   &d));
+  PITREE_RETURN_IF_ERROR(Descend(&op, start.empty() ? Slice("\0", 1) : start,
+                                 0, LatchMode::kShared, nullptr, &d));
   PageHandle cur = std::move(d.node);
   const bool couple = ctx_->options.consolidation_enabled;
   std::string resume = start.ToString();
@@ -641,7 +319,11 @@ Status PiTree::Scan(Transaction* txn, const Slice& start, size_t limit,
     PageId next_pid = node.right_sibling();
     if (next_pid == kInvalidPageId) break;
     PageHandle next;
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(next_pid, &next));
+    Status s = ctx_->pool->FetchPage(next_pid, &next);
+    if (!s.ok()) {
+      cur.latch().ReleaseS();
+      return s;
+    }
     if (couple) {
       next.latch().AcquireS();
       cur.latch().ReleaseS();
@@ -679,8 +361,8 @@ Status PiTree::InsertImpl(Transaction* txn, const Slice& key,
   Status result;
   for (;;) {
     Descent d;
-    PITREE_RETURN_IF_ERROR(DescendTo(&op, key, 0, LatchMode::kUpdate, false,
-                                     nullptr, &d));
+    PITREE_RETURN_IF_ERROR(
+        Descend(&op, key, 0, LatchMode::kUpdate, nullptr, &d));
     bool restart = false;
     // Page-oriented-undo regime: updaters declare themselves on the page
     // granule so move locks can exclude them (§4.2.2).
@@ -768,8 +450,8 @@ Status PiTree::Update(Transaction* txn, const Slice& key,
   Status result;
   for (;;) {
     Descent d;
-    PITREE_RETURN_IF_ERROR(DescendTo(&op, key, 0, LatchMode::kUpdate, false,
-                                     nullptr, &d));
+    PITREE_RETURN_IF_ERROR(
+        Descend(&op, key, 0, LatchMode::kUpdate, nullptr, &d));
     bool restart = false;
     if (ctx_->options.page_oriented_undo) {
       Status s = ctx_->locks->Lock(txn, PageLockName(d.node.id()),
@@ -845,8 +527,8 @@ Status PiTree::Delete(Transaction* txn, const Slice& key)
   Status result;
   for (;;) {
     Descent d;
-    PITREE_RETURN_IF_ERROR(DescendTo(&op, key, 0, LatchMode::kUpdate, false,
-                                     nullptr, &d));
+    PITREE_RETURN_IF_ERROR(
+        Descend(&op, key, 0, LatchMode::kUpdate, nullptr, &d));
     bool restart = false;
     if (ctx_->options.page_oriented_undo) {
       Status s = ctx_->locks->Lock(txn, PageLockName(d.node.id()),
@@ -933,7 +615,7 @@ Status PiTree::LogicalUndo(Transaction* txn, PageOp undo_op,
   for (;;) {
     Descent d;
     PITREE_RETURN_IF_ERROR(
-        DescendTo(&op, key, 0, LatchMode::kUpdate, false, nullptr, &d));
+        Descend(&op, key, 0, LatchMode::kUpdate, nullptr, &d));
     NodeRef node(d.node.data());
     Status s;
     switch (undo_op) {

@@ -13,6 +13,7 @@
 #include "common/types.h"
 #include "engine/engine_context.h"
 #include "pitree/completion.h"
+#include "pitree/descent.h"
 #include "pitree/node_page.h"
 #include "pitree/path.h"
 #include "storage/buffer_pool.h"
@@ -148,28 +149,19 @@ class PiTree {
     std::vector<CompletionJob> pending;  // completing actions to schedule
   };
 
-  /// Result of a descent: the target node pinned+latched in `mode`, and
-  /// (optionally) its parent pinned+latched S.
-  struct Descent {
-    PageHandle node;
-    LatchMode mode = LatchMode::kShared;
-    PageHandle parent;  // valid() only when requested
-    bool parent_held = false;
-  };
+  /// Descends to the node at `target_level` whose directly contained space
+  /// includes `key`, latched in `target_mode`, under the CP/CNS regime
+  /// (§5.2); schedules postings for crossed side pointers. `hint` (may be
+  /// null) is a saved path: verified entries short-circuit the search per
+  /// §5.2/§5.3 step 1.
+  Status Descend(OpCtx* op, const Slice& key, uint8_t target_level,
+                 LatchMode target_mode, const SavedPath* hint, Descent* d);
 
-  /// Descends from the root to the node at `target_level` whose directly
-  /// contained space includes `key`, latching per the CP/CNS regime.
-  /// `hint` (may be null) is a saved path: verified entries short-circuit
-  /// the search per §5.2/§5.3 step 1.
-  Status DescendTo(OpCtx* op, const Slice& key, uint8_t target_level,
-                   LatchMode target_mode, bool keep_parent,
-                   const SavedPath* hint, Descent* out);
-
-  /// Side-traversal at one level: starting from `cur` (latched in `mode`),
-  /// moves right until the node's directly-contained space includes `key`.
-  /// Schedules completion postings for crossed side pointers.
-  Status MoveRight(OpCtx* op, const Slice& key, LatchMode mode,
-                   PageHandle* cur);
+  /// The §5.2 saved-path start: under CNS the deepest remembered node at or
+  /// above the target level (nodes are immortal), under CP strategy (b) the
+  /// deepest one whose state id is unchanged. Leaves it latched in `d`, or
+  /// `d->node` empty when the descent must start at the root.
+  Status StartFromSavedPath(const SavedPath& hint, Descent* d);
 
   /// Notes an under-utilized node for consolidation (CP regime only).
   void MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node, PageId pid);
@@ -178,23 +170,6 @@ class PiTree {
   /// `sibling` (skipped when a move lock covers `from`, §4.2.2).
   void SchedulePosting(OpCtx* op, uint8_t level, PageId from, PageId sibling,
                        const Slice& key);
-
-  /// Latch-free point lookup (DESIGN.md §15): bounded retries of
-  /// TryGetOptimisticOnce. Returns Busy when the optimistic regime cannot
-  /// settle (torn copy, structural motion, cold page, epoch slots
-  /// exhausted); the caller falls back to the latched descent. The caller
-  /// must already hold the S record lock (lock-first 2PL), so a successful
-  /// copy-out returns lock-stable committed data.
-  Status GetOptimistic(OpCtx* op, const Slice& key, std::string* value);
-
-  /// One epoch-guarded version-validated descent: root to leaf via
-  /// consistent page copies, coupling each hop by revalidating the parent's
-  /// version after the child's optimistic fetch begins. Never latches,
-  /// pins, or blocks inside the epoch section; maintenance hints (§5.1
-  /// postings, §3.3 consolidation) observed along the way are appended to
-  /// `op->pending` after the section closes.
-  Status TryGetOptimisticOnce(OpCtx* op, const Slice& key,
-                              std::string* value);
 
   /// Acquires a record lock under the No-Wait Rule (§4.1.2): try while
   /// latched; on conflict release the leaf latch, wait, re-latch and

@@ -29,9 +29,8 @@ Status PiTree::Consolidate(const CompletionJob& job) NO_THREAD_SAFETY_ANALYSIS {
   op.txn = nullptr;
 
   Descent d;
-  PITREE_RETURN_IF_ERROR(DescendTo(&op, job.key, job.level,
-                                   LatchMode::kUpdate, /*keep_parent=*/false,
-                                   &job.path, &d));
+  PITREE_RETURN_IF_ERROR(Descend(&op, job.key, job.level,
+                                   LatchMode::kUpdate, &job.path, &d));
   PageHandle& parent = d.node;
 
   // Locate the under-utilized node's index term; the tree state is

@@ -29,9 +29,8 @@ Status PiTree::PostIndexTerm(const CompletionJob& job)
   // space includes KEY, re-using the remembered PATH when state identifiers
   // are unchanged.
   Descent d;
-  PITREE_RETURN_IF_ERROR(DescendTo(&op, job.key, job.level,
-                                   LatchMode::kUpdate, /*keep_parent=*/false,
-                                   &job.path, &d));
+  PITREE_RETURN_IF_ERROR(Descend(&op, job.key, job.level,
+                                   LatchMode::kUpdate, &job.path, &d));
 
   Transaction* action = ctx_->txns->Begin(/*is_system=*/true);
   std::map<PageId, PageHandle*> pages;

@@ -307,7 +307,7 @@ bool BufferPool::ReadConsistent(const OptimisticPage& page, char* dst,
   // section guarantees the *frame* still holds some page (not recycled
   // storage), so the copy itself is well-defined loads of live memory.
   TsanIgnoreReadsBegin();
-  // lint:olc-validated -- seqlock copy, checked by the Validate below
+  // analyze:allow-olc-deref -- seqlock copy, checked by the Validate below
   memcpy(dst, f.data.get() + offset, len);
   TsanIgnoreReadsEnd();
   const bool ok = f.latch.Validate(page.version_);

@@ -1,19 +1,19 @@
+// lint:allow-naked-latch -- splits X-latch fresh nodes and the promoted
+// leaf, posting S-probes one child under the U-latched parent, history
+// walks S-couple; descents run through the pitree/descent.h kernel.
 #include "common/thread_annotations.h"
 #include "tsb/tsb_tree.h"
 
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <memory>
 #include <sstream>
 
-#include "analysis/latch_checker.h"
 #include "common/coding.h"
 #include "engine/log_apply.h"
 #include "engine/page_alloc.h"
 #include "mvcc/timestamp_oracle.h"
 #include "recovery/recovery_manager.h"
-#include "storage/epoch.h"
 #include "storage/space_map.h"
 #include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
@@ -130,109 +130,63 @@ Status TsbTree::Create(EngineContext* ctx, PageId root)
 // Traversal
 // ---------------------------------------------------------------------------
 
-namespace {
-// lint:latch-helper — the sanctioned mode-dispatch wrapper; the tools/lint
-// pass flags Latch::Acquire* calls outside annotated helpers and descents.
-// lint:tsa-escape -- mode-dispatched acquire: which capability kind is
-// taken is a runtime value clang cannot model; call sites are checked
-// dynamically (src/analysis/) and by tools/analyze.
-void AcquireMode(Latch& latch, LatchMode mode) NO_THREAD_SAFETY_ANALYSIS {
-  switch (mode) {
-    case LatchMode::kShared:
-      latch.AcquireS();
-      break;
-    case LatchMode::kUpdate:
-      latch.AcquireU();
-      break;
-    case LatchMode::kExclusive:
-      latch.AcquireX();
-      break;
-  }
-}
-}  // namespace
+TsbPolicy::TsbPolicy(const Slice& key, TsbTime t)
+    : key_(key),
+      t_(t),
+      composite_(TsbTree::CompositeKey(key, 0)),
+      probe_(TsbTree::CompositeKey(key, t)),
+      current_{composite_} {}
 
-// lint:tsa-escape -- hands latched pages across the call boundary (§4.1
-// crabbing); the protocol is enforced by the runtime checker and
-// tools/analyze, not the intraprocedural static analysis.
-Status TsbTree::DescendToLeaf(
-    Transaction* txn, const Slice& key, LatchMode mode, PageHandle* leaf,
-    std::vector<std::pair<PageId, std::string>>* pending)
-    NO_THREAD_SAFETY_ANALYSIS {
-  std::string composite = CompositeKey(key, 0);
-  PageHandle cur;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
-  cur.latch().AcquireS();
-  analysis::NoteTreeLevel(&cur.latch(), NodeRef(cur.data()).level());
-  if (NodeRef(cur.data()).is_leaf() && mode != LatchMode::kShared) {
-    cur.latch().ReleaseS();
-    AcquireMode(cur.latch(), mode);
+Answer TsbPolicy::Resolve(const NodeRef& node, std::string* value) const {
+  // Each node on the history chain holds, per key, the latest version at or
+  // before its split time plus everything newer — so if this node has any
+  // version <= t for the key, it is the correct answer; only when it has
+  // none may the answer lie further back along the history pointer.
+  bool found;
+  int slot = node.FindSlot(probe_, &found);
+  int candidate = found ? slot : slot - 1;
+  if (candidate >= 0) {
+    Slice ukey;
+    TsbTime vt;
+    if (TsbTree::SplitComposite(node.EntryKey(candidate), &ukey, &vt) &&
+        ukey == key_) {
+      Slice v = node.EntryValue(candidate);
+      if (v.empty() || v[0] != kValueTagData) {
+        return {Status::NotFound("tombstoned")};
+      }
+      if (value != nullptr) value->assign(v.data() + 1, v.size() - 1);
+      return {Status::OK()};
+    }
   }
-  for (;;) {
-    NodeRef node(cur.data());
-    LatchMode cur_mode =
-        (node.is_leaf() && mode != LatchMode::kShared) ? mode
-                                                       : LatchMode::kShared;
-    // Key-sibling traversal: exposes unposted key splits (completion).
-    while (!node.BelowHigh(composite)) {
-      PageId next = node.right_sibling();
-      if (next == kInvalidPageId) {
-        cur.latch().Release(cur_mode);
-        return Status::Corruption("tsb: side chain ends before key");
-      }
-      stats_.side_traversals.fetch_add(1, std::memory_order_relaxed);
-      if (pending != nullptr &&
-          !ctx_->locks->WouldConflict(kInvalidTxnId, PageLockName(cur.id()),
-                                      LockMode::kIU)) {
-        pending->emplace_back(cur.id(), key.ToString());
-      }
-      PageHandle nh;
-      PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(next, &nh));
-      AcquireMode(nh.latch(), cur_mode);
-      analysis::NoteTreeLevel(&nh.latch(), NodeRef(nh.data()).level());
-      cur.latch().Release(cur_mode);
-      cur = std::move(nh);
-      node = NodeRef(cur.data());
+  TsbTree::HistoryTerm hist;
+  if (TsbTree::GetHistoryTerm(node, &hist) && t_ <= hist.split_time) {
+    // The requested time predates this node's directly contained history:
+    // follow the history sibling pointer (Figure 1).
+    return {Status::OK(), hist.page};
+  }
+  return {Status::NotFound("no version")};
+}
+
+Status TsbTree::Descend(const TsbPolicy& policy, LatchMode mode,
+                        std::vector<SideHop>* hops, PageHandle* leaf) {
+  Descent d;
+  d.target_mode = mode;
+  d.counters.side = &stats_.side_traversals;
+  Status s = LatchedDescend(ctx_->pool, root_, policy, &d);
+  if (hops != nullptr) {
+    hops->insert(hops->end(), d.side_hops.begin(), d.side_hops.end());
+  }
+  *leaf = std::move(d.node);
+  return s;
+}
+
+void TsbTree::PostCrossedSplits(const Slice& key,
+                                const std::vector<SideHop>& hops) {
+  for (const SideHop& hop : hops) {
+    if (!ctx_->locks->WouldConflict(kInvalidTxnId, PageLockName(hop.from),
+                                    LockMode::kIU)) {
+      (void)PostKeySplit(key);
     }
-    if (node.is_leaf()) {
-      if (cur_mode != mode) {
-        // We reached the leaf level S-latched; re-acquire in the requested
-        // mode and revalidate coverage (re-loop on change).
-        Lsn seen = cur.page_lsn();
-        cur.latch().ReleaseS();
-        AcquireMode(cur.latch(), mode);
-        if (cur.page_lsn() != seen) {
-          NodeRef again(cur.data());
-          if (!again.is_leaf() || !again.AtOrAboveLow(composite)) {
-            cur.latch().Release(mode);
-            cur.Reset();
-            return Status::Busy("tsb: leaf changed during latch upgrade");
-          }
-          continue;
-        }
-      }
-      *leaf = std::move(cur);
-      return Status::OK();
-    }
-    int slot = node.FindChildSlot(composite);
-    if (slot < 0) {
-      cur.latch().ReleaseS();
-      return Status::Corruption("tsb: no child covers key");
-    }
-    IndexTerm term;
-    if (!DecodeIndexTerm(node.EntryValue(slot), &term)) {
-      cur.latch().ReleaseS();
-      return Status::Corruption("tsb: bad index term");
-    }
-    PageHandle child;
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(term.child, &child));
-    uint8_t child_level = node.level() - 1;
-    LatchMode child_mode = (child_level == 0 && mode != LatchMode::kShared)
-                               ? mode
-                               : LatchMode::kShared;
-    AcquireMode(child.latch(), child_mode);
-    analysis::NoteTreeLevel(&child.latch(), child_level);
-    cur.latch().ReleaseS();
-    cur = std::move(child);
   }
 }
 
@@ -593,59 +547,20 @@ Status TsbTree::PostKeySplit(const Slice& approx_key)
   // Simplified §5.3 posting for the TSB instance: descend to level 1 with a
   // U latch, verify via the child's side pointer, post missing terms.
   std::string composite = CompositeKey(approx_key, 0);
-  PageHandle cur;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
-  cur.latch().AcquireS();
-  if (NodeRef(cur.data()).is_leaf()) {
-    cur.latch().ReleaseS();
-    return Status::OK();  // height-1 tree: nothing to post into
-  }
-  // Descend to the lowest index level (level 1).
-  for (;;) {
-    NodeRef node(cur.data());
-    while (!node.BelowHigh(composite)) {
-      PageId next = node.right_sibling();
-      if (next == kInvalidPageId) {
-        cur.latch().ReleaseS();
-        return Status::Corruption("tsb: index chain ends early");
-      }
-      PageHandle nh;
-      PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(next, &nh));
-      nh.latch().AcquireS();
-      cur.latch().ReleaseS();
-      cur = std::move(nh);
-      node = NodeRef(cur.data());
-    }
-    if (node.level() == 1) break;
-    int slot = node.FindChildSlot(composite);
-    IndexTerm term;
-    if (slot < 0 || !DecodeIndexTerm(node.EntryValue(slot), &term)) {
-      cur.latch().ReleaseS();
-      return Status::Corruption("tsb: bad index descent");
-    }
-    PageHandle child;
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(term.child, &child));
-    child.latch().AcquireS();
-    cur.latch().ReleaseS();
-    cur = std::move(child);
-  }
-  // Re-acquire U at the posting node.
-  Lsn seen = cur.page_lsn();
-  cur.latch().ReleaseS();
-  cur.latch().AcquireU();
-  if (cur.page_lsn() != seen) {
-    NodeRef again(cur.data());
-    if (again.level() != 1 || !again.AtOrAboveLow(composite)) {
-      cur.latch().ReleaseU();
-      return Status::OK();  // world moved on; a later traversal completes
-    }
-  }
+  Descent d;
+  d.target_level = 1;
+  d.target_mode = LatchMode::kUpdate;
+  Status s = LatchedDescend(ctx_->pool, root_, BlinkPolicy{composite}, &d);
+  // NotFound: a height-1 tree has nothing to post into. Busy: the level-1
+  // node changed under the re-latch; a later traversal completes the split.
+  if (s.IsNotFound() || s.IsBusy()) return Status::OK();
+  PITREE_RETURN_IF_ERROR(s);
+  PageHandle cur = std::move(d.node);
 
   Transaction* action = ctx_->txns->Begin(/*is_system=*/true);
   std::map<PageId, PageHandle*> pages;
   pages[cur.id()] = &cur;
   bool is_x = false;
-  Status s;
   for (;;) {
     NodeRef node(cur.data());
     if (!node.BelowHigh(composite)) break;  // posted past our duty
@@ -758,12 +673,12 @@ Status TsbTree::WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
   if (!ValidUserKey(key)) return Status::InvalidArgument("bad tsb key");
   std::string composite = CompositeKey(key, t);
   std::string tagged = TagValue(tombstone, value);
-  std::vector<std::pair<PageId, std::string>> pending;
+  TsbPolicy policy(key, t);
+  std::vector<SideHop> hops;
   Status result;
   for (;;) {
     PageHandle leaf;
-    PITREE_RETURN_IF_ERROR(
-        DescendToLeaf(txn, key, LatchMode::kUpdate, &leaf, &pending));
+    PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kUpdate, &hops, &leaf));
     // Updaters declare themselves on the page granule (move-lock protocol).
     // The lock name must be captured before the Busy path resets the handle:
     // leaf.id() on a reset handle is invalid.
@@ -822,9 +737,7 @@ Status TsbTree::WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
     result = s;
     break;
   }
-  for (const auto& [pid, k] : pending) {
-    (void)PostKeySplit(k);
-  }
+  PostCrossedSplits(key, hops);
   return result;
 }
 
@@ -876,290 +789,62 @@ Status TsbTree::Erase(Transaction* txn, const Slice& key) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimistic (latch-free) as-of lookup — DESIGN.md §15
+// As-of reads — optimistic first, latched fallback (DESIGN.md §15, §17)
 // ---------------------------------------------------------------------------
 
-namespace {
-// Same budgets as the Π-tree's optimistic path (pi_tree.cc); each file keeps
-// its own internal-linkage copy.
-constexpr int kOptimisticRetries = 3;
-constexpr int kOptimisticHopLimit = 64;
-
-char* OptimisticScratch() {
-  static thread_local std::unique_ptr<char[]> buf(new char[kPageSize]);
-  return buf.get();
-}
-}  // namespace
-
-Status TsbTree::TryGetOptimisticOnce(
-    const Slice& key, TsbTime t, std::string* value,
-    std::vector<std::pair<PageId, std::string>>* pending) {
-  BufferPool* pool = ctx_->pool;
-  char* buf = OptimisticScratch();
-  const std::string composite = CompositeKey(key, 0);
-  // Current-level side hops crossed: possibly-unposted key splits. The
-  // move-lock probe (WouldConflict) blocks on the lock-manager mutex, so
-  // hints are filtered and emitted only after the epoch section closes.
-  std::vector<PageId> side_hops;
-  Status result;
-  {
-    EpochGuard epoch;
-    if (!epoch.active()) return Status::Busy("tsb: epoch slots exhausted");
-
-    OptimisticPage cur;
-    if (!pool->FetchOptimistic(root_, &cur) ||
-        !pool->ReadConsistent(cur, buf)) {
-      return Status::Busy("tsb: root not optimistically readable");
-    }
-    // Version-coupled hop: open the child's window, re-check that the
-    // pointer we followed is still current, then copy the child over `buf`.
-    auto hop_to = [&](PageId next) -> bool {
-      OptimisticPage nxt;
-      if (!pool->FetchOptimistic(next, &nxt)) return false;
-      if (!pool->Revalidate(cur)) return false;
-      if (!pool->ReadConsistent(nxt, buf)) return false;
-      cur = nxt;
-      return true;
-    };
-
-    int hop = 0;
-    // Phase 1: descend the current tree to the leaf covering the key (the
-    // copy-out mirror of DescendToLeaf, kShared).
-    for (;; ++hop) {
-      if (hop >= kOptimisticHopLimit) {
-        return Status::Busy("tsb: optimistic hop limit exceeded");
-      }
-      if (PageGetType(buf) != PageType::kTreeNode) {
-        return Status::Busy("tsb: optimistic copy is not a tree node");
-      }
-      NodeRef node(buf);
-      if (node.is_deallocated() || !node.AtOrAboveLow(composite)) {
-        return Status::Busy("tsb: optimistic copy does not cover key");
-      }
-      if (!node.BelowHigh(composite)) {
-        PageId next = node.right_sibling();
-        if (next == kInvalidPageId) {
-          return Status::Busy("tsb: side chain ended before key");
-        }
-        stats_.side_traversals.fetch_add(1, std::memory_order_relaxed);
-        side_hops.push_back(cur.id());
-        if (!hop_to(next)) return Status::Busy("tsb: side hop failed");
-        continue;
-      }
-      if (node.is_leaf()) break;
-      int slot = node.FindChildSlot(composite);
-      if (slot < 0) return Status::Busy("tsb: no child covers key");
-      IndexTerm term;
-      if (!DecodeIndexTerm(node.EntryValue(slot), &term)) {
-        return Status::Busy("tsb: bad index term in optimistic copy");
-      }
-      if (!hop_to(term.child)) return Status::Busy("tsb: child hop failed");
-    }
-
-    // Phase 2: resolve the version along the history chain (the copy-out
-    // mirror of ReadVersionInChain; see its comment for the invariant).
-    const std::string probe = CompositeKey(key, t);
-    for (;; ++hop) {
-      if (hop >= kOptimisticHopLimit) {
-        return Status::Busy("tsb: optimistic hop limit exceeded");
-      }
-      NodeRef node(buf);
-      bool found;
-      int slot = node.FindSlot(probe, &found);
-      int candidate = found ? slot : slot - 1;
-      bool answered = false;
-      if (candidate >= 0) {
-        Slice ukey;
-        TsbTime vt;
-        if (SplitComposite(node.EntryKey(candidate), &ukey, &vt) &&
-            ukey == key) {
-          Slice v = node.EntryValue(candidate);
-          if (!v.empty() && v[0] == kValueTagData) {
-            if (value != nullptr) {
-              value->assign(v.data() + 1, v.size() - 1);
-            }
-            result = Status::OK();
-          } else {
-            result = Status::NotFound("tombstoned");
-          }
-          answered = true;
-        }
-      }
-      if (answered) break;
-      HistoryTerm hist;
-      if (GetHistoryTerm(node, &hist) && t <= hist.split_time) {
-        stats_.history_hops.fetch_add(1, std::memory_order_relaxed);
-        if (!hop_to(hist.page)) {
-          return Status::Busy("tsb: history hop failed");
-        }
-        continue;
-      }
-      result = Status::NotFound("no version");
-      break;
-    }
-  }
-  // Epoch closed: emit the same unposted-split hints a latched descent
-  // would, gated by the §4.2.2 move-lock visibility probe.
-  if (pending != nullptr) {
-    for (PageId pid : side_hops) {
-      if (!ctx_->locks->WouldConflict(kInvalidTxnId, PageLockName(pid),
-                                      LockMode::kIU)) {
-        pending->emplace_back(pid, key.ToString());
-      }
-    }
-  }
-  return result;
-}
-
-Status TsbTree::GetOptimistic(
-    const Slice& key, TsbTime t, std::string* value,
-    std::vector<std::pair<PageId, std::string>>* pending) {
-  for (int attempt = 0; attempt < kOptimisticRetries; ++attempt) {
-    Status s = TryGetOptimisticOnce(key, t, value, pending);
-    if (!s.IsBusy()) {
-      stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
-      return s;
-    }
-  }
-  return Status::Busy("tsb: optimistic read did not settle");
-}
-
-// lint:tsa-escape -- latch spans cross helper boundaries (the descent
-// acquires, this function releases); checked by the runtime checker and
-// tools/analyze.
 Status TsbTree::GetAsOf(Transaction* txn, const Slice& key, TsbTime t,
-                        std::string* value) NO_THREAD_SAFETY_ANALYSIS {
+                        std::string* value) {
   if (!ValidUserKey(key)) return Status::InvalidArgument("bad tsb key");
-  std::vector<std::pair<PageId, std::string>> pending;
-  if (ctx_->options.optimistic_reads) {
-    // Lock-first 2PL (DESIGN.md §15): the record lock name needs no
-    // descent, so take the S lock before the epoch section — no latches
-    // held makes the blocking wait trivially No-Wait-safe (§4.1.2). The
-    // latched fallback below re-requests the same lock; the conversion
-    // path grants a re-lock by the owner immediately.
-    if (txn != nullptr) {
-      PITREE_RETURN_IF_ERROR(ctx_->locks->Lock(
-          txn, RecordLockName(root_, key), LockMode::kS, /*wait=*/true));
-    }
-    Status s = GetOptimistic(key, t, value, &pending);
-    if (!s.IsBusy()) {
-      for (const auto& [pid, k] : pending) {
-        (void)PostKeySplit(k);
-      }
-      return s;
-    }
-    pending.clear();
-    stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  // Lock-first 2PL (DESIGN.md §15): the record lock name needs no descent,
+  // so the S lock (held to end of transaction) is taken before any latch —
+  // the blocking wait is trivially No-Wait-safe (§4.1.2), and both read
+  // paths below then run under it.
+  if (txn != nullptr) {
+    PITREE_RETURN_IF_ERROR(ctx_->locks->Lock(
+        txn, RecordLockName(root_, key), LockMode::kS, /*wait=*/true));
   }
+  TsbPolicy policy(key, t);
+  OptimisticTrace trace;
+  Status s = OptimisticGet(ctx_->pool, root_, policy, value,
+                           {&stats_.side_traversals, &stats_.history_hops},
+                           &trace);
+  if (!s.IsBusy()) {
+    stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
+    PostCrossedSplits(key, trace.side_hops);
+    return s;
+  }
+  stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  std::vector<SideHop> hops;
   PageHandle cur;
-  PITREE_RETURN_IF_ERROR(
-      DescendToLeaf(txn, key, LatchMode::kShared, &cur, &pending));
-  // S record lock (held to end of transaction).
-  std::string rname = RecordLockName(root_, key);
-  Status ls = ctx_->locks->Lock(txn, rname, LockMode::kS, /*wait=*/false);
-  if (ls.IsBusy()) {
-    cur.latch().ReleaseS();
-    cur.Reset();
-    PITREE_RETURN_IF_ERROR(
-        ctx_->locks->Lock(txn, rname, LockMode::kS, /*wait=*/true));
-    PITREE_RETURN_IF_ERROR(
-        DescendToLeaf(txn, key, LatchMode::kShared, &cur, &pending));
-  } else if (!ls.ok()) {
-    cur.latch().ReleaseS();
-    return ls;
-  }
-
-  Status result = ReadVersionInChain(std::move(cur), key, t, value);
-  for (const auto& [pid, k] : pending) {
-    (void)PostKeySplit(k);
-  }
-  return result;
-}
-
-// lint:tsa-escape -- hands latched pages across the call boundary (§4.1
-// crabbing); the protocol is enforced by the runtime checker and
-// tools/analyze, not the intraprocedural static analysis.
-Status TsbTree::ReadVersionInChain(PageHandle cur, const Slice& key,
-                                   TsbTime t, std::string* value)
-    NO_THREAD_SAFETY_ANALYSIS {
-  Status result = Status::NotFound("no version");
-  std::string probe = CompositeKey(key, t);
-  for (;;) {
-    // Each node on the history chain holds, per key, the latest version at
-    // or before its split time plus everything newer — so if this node has
-    // any version <= t for the key, it is the correct answer; only when it
-    // has none may the answer lie further back along the history pointer.
-    NodeRef node(cur.data());
-    bool found;
-    int slot = node.FindSlot(probe, &found);
-    int candidate = found ? slot : slot - 1;
-    bool answered = false;
-    if (candidate >= 0) {
-      Slice ukey;
-      TsbTime vt;
-      if (SplitComposite(node.EntryKey(candidate), &ukey, &vt) &&
-          ukey == key) {
-        Slice v = node.EntryValue(candidate);
-        if (!v.empty() && v[0] == kValueTagData) {
-          if (value != nullptr) {
-            value->assign(v.data() + 1, v.size() - 1);
-          }
-          result = Status::OK();
-        } else {
-          result = Status::NotFound("tombstoned");
-        }
-        answered = true;
-      }
-    }
-    if (answered) {
-      cur.latch().ReleaseS();
-      break;
-    }
-    HistoryTerm hist;
-    if (GetHistoryTerm(node, &hist) && t <= hist.split_time) {
-      // The requested time predates this node's directly contained
-      // history: follow the history sibling pointer (Figure 1).
-      PageHandle hh;
-      Status s = ctx_->pool->FetchPage(hist.page, &hh);
-      if (!s.ok()) {
-        cur.latch().ReleaseS();
-        return s;
-      }
-      stats_.history_hops.fetch_add(1, std::memory_order_relaxed);
-      hh.latch().AcquireS();
-      cur.latch().ReleaseS();
-      cur = std::move(hh);
-      continue;
-    }
-    cur.latch().ReleaseS();
-    break;
-  }
-  cur.Reset();
-  return result;
+  PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kShared, &hops, &cur));
+  s = ResolveLatched(ctx_->pool, policy, std::move(cur), value,
+                     &stats_.history_hops);
+  PostCrossedSplits(key, hops);
+  return s;
 }
 
 Status TsbTree::SnapshotGet(const Slice& key, TsbTime t, std::string* value) {
   if (!ValidUserKey(key)) return Status::InvalidArgument("bad tsb key");
-  if (ctx_->options.optimistic_reads) {
-    // Latch-free AND lock-free: every version at or below a snapshot
-    // timestamp is committed and immutable, so a validated copy chain
-    // needs no record lock at all (DESIGN.md §15). MVCC snapshot reads
-    // (SnapshotTxn::Get) land here and touch no shared mutable state
-    // beyond atomic loads on the happy path. No completion hints either
-    // (pending=nullptr), mirroring the latched snapshot path.
-    Status s = GetOptimistic(key, t, value, nullptr);
-    if (!s.IsBusy()) return s;
-    stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  // Latch-free AND lock-free: every version at or below a snapshot
+  // timestamp is committed and immutable, so a validated copy chain needs
+  // no record lock at all (DESIGN.md §15), and the latched fallback needs
+  // only §4.1 latches — time splits only copy versions toward history
+  // nodes, so a latched traversal always finds them. A snapshot reader is
+  // invisible to the 2PL side: no locks and no completion scheduling.
+  TsbPolicy policy(key, t);
+  OptimisticTrace trace;
+  Status s = OptimisticGet(ctx_->pool, root_, policy, value,
+                           {&stats_.side_traversals, &stats_.history_hops},
+                           &trace);
+  if (!s.IsBusy()) {
+    stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
+    return s;
   }
-  // No lock-manager locks and no completion scheduling: a snapshot reader
-  // is invisible to the 2PL side. The snapshot timestamp guarantees every
-  // version at or below `t` is committed and immutable, and time splits
-  // only copy versions toward history nodes — a latched traversal always
-  // finds them.
+  stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
   PageHandle cur;
-  PITREE_RETURN_IF_ERROR(
-      DescendToLeaf(nullptr, key, LatchMode::kShared, &cur, nullptr));
-  return ReadVersionInChain(std::move(cur), key, t, value);
+  PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kShared, nullptr, &cur));
+  return ResolveLatched(ctx_->pool, policy, std::move(cur), value,
+                        &stats_.history_hops);
 }
 
 // lint:tsa-escape -- latch spans cross helper boundaries (the descent
@@ -1179,8 +864,8 @@ Status TsbTree::ScanAsOf(const Slice& start, const Slice& end, TsbTime t,
   bool done = false;
   while (!done) {
     PageHandle cur;
-    PITREE_RETURN_IF_ERROR(
-        DescendToLeaf(nullptr, cursor, LatchMode::kShared, &cur, nullptr));
+    TsbPolicy policy(cursor, t);
+    PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kShared, nullptr, &cur));
     // The current leaf's high key bounds the user-key range this round
     // resolves. It must be captured before any history descent: sibling
     // leaves share history nodes after key splits, so a historical node
@@ -1297,9 +982,10 @@ Status TsbTree::History(Transaction* txn, const Slice& key,
     NO_THREAD_SAFETY_ANALYSIS {
   versions->clear();
   if (!ValidUserKey(key)) return Status::InvalidArgument("bad tsb key");
+  (void)txn;
   PageHandle cur;
-  PITREE_RETURN_IF_ERROR(
-      DescendToLeaf(txn, key, LatchMode::kShared, &cur, nullptr));
+  TsbPolicy policy(key, kTsbTimeMax);
+  PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kShared, nullptr, &cur));
   std::string hi = CompositeKey(key, kTsbTimeMax);
   TsbTime oldest_seen = kTsbTimeMax;
   for (;;) {

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "engine/engine_context.h"
+#include "pitree/descent.h"
 #include "pitree/node_page.h"
 #include "storage/buffer_pool.h"
 #include "txn/transaction.h"
@@ -23,6 +24,8 @@ using TsbTime = uint64_t;
 /// "Read latest" sentinel: the maximum representable version time. Every
 /// real version timestamp is strictly below it.
 inline constexpr TsbTime kTsbTimeMax = ~TsbTime{0};
+
+class TsbPolicy;
 
 struct TsbStats {
   std::atomic<uint64_t> key_splits{0};
@@ -145,6 +148,8 @@ class TsbTree {
   static const char* kHistoryEntryKey;  // reserved in-node entry key
 
  private:
+  friend class TsbPolicy;
+
   struct HistoryTerm {
     PageId page = kInvalidPageId;
     TsbTime split_time = 0;
@@ -154,11 +159,15 @@ class TsbTree {
   static bool DecodeHistoryTerm(const Slice& v, HistoryTerm* term);
   static bool GetHistoryTerm(const NodeRef& node, HistoryTerm* term);
 
-  /// Descends the current tree to the leaf covering `key`, latched in
-  /// `mode`; appends unposted-split completions to `pending`.
-  Status DescendToLeaf(Transaction* txn, const Slice& key, LatchMode mode,
-                       PageHandle* leaf,
-                       std::vector<std::pair<PageId, std::string>>* pending);
+  /// Descends the current tree to the leaf covering the policy's key,
+  /// latched in `mode`; crossed side pointers (possibly unposted key
+  /// splits) are appended to `hops` when non-null.
+  Status Descend(const TsbPolicy& policy, LatchMode mode,
+                 std::vector<SideHop>* hops, PageHandle* leaf);
+
+  /// Completes the key splits whose side pointers a descent for `key`
+  /// crossed (§5.1), skipping any a move lock still covers (§4.2.2).
+  void PostCrossedSplits(const Slice& key, const std::vector<SideHop>& hops);
 
   /// Splits the X-latched current leaf by time at `t` (atomic action owner
   /// `action`): new historical node takes a full copy; dead versions are
@@ -191,37 +200,37 @@ class TsbTree {
                       const Slice& value);
   TsbTime AllocateVersionTs(Transaction* txn);
 
-  /// Latch-free as-of lookup (DESIGN.md §15): bounded retries of
-  /// TryGetOptimisticOnce; Busy means the optimistic regime could not
-  /// settle and the caller must take the latched path. GetAsOf callers
-  /// hold the S record lock first (lock-first 2PL); SnapshotGet needs no
-  /// lock at all — versions at or below a snapshot time are immutable.
-  /// `pending` (nullable, like DescendToLeaf's) receives unposted-key-split
-  /// completion hints noticed along the way.
-  Status GetOptimistic(const Slice& key, TsbTime t, std::string* value,
-                       std::vector<std::pair<PageId, std::string>>* pending);
-
-  /// One epoch-guarded copy-out traversal: descends the current tree by
-  /// CompositeKey(key, 0) with version coupling, then resolves the version
-  /// along the history chain on validated copies (the latch-free mirror of
-  /// DescendToLeaf + ReadVersionInChain). Completion hints are appended to
-  /// `pending` only after the epoch section closes (the move-lock probe
-  /// blocks on the lock-manager mutex).
-  Status TryGetOptimisticOnce(
-      const Slice& key, TsbTime t, std::string* value,
-      std::vector<std::pair<PageId, std::string>>* pending);
-
-  /// Resolves `key` at time `t` starting from the S-latched chain node
-  /// `cur` (the current leaf covering the key), following history sibling
-  /// pointers while every version here is newer than `t`. Consumes `cur`
-  /// (latch released on every path).
-  Status ReadVersionInChain(PageHandle cur, const Slice& key, TsbTime t,
-                            std::string* value);
-
   EngineContext* const ctx_;
   const PageId root_;
   std::atomic<TsbTime> clock_{1};
   mutable TsbStats stats_;
+};
+
+/// Descent policy of the TSB-tree (DESIGN.md §17): current nodes route by
+/// the B-link rules on CompositeKey(key, 0); at the leaf, the version of
+/// `key` as of `t` is resolved along history sibling pointers (Figure 1).
+/// Holds its routing keys, so it is neither copied nor moved.
+class TsbPolicy {
+ public:
+  TsbPolicy(const Slice& key, TsbTime t);
+  TsbPolicy(const TsbPolicy&) = delete;
+  TsbPolicy& operator=(const TsbPolicy&) = delete;
+
+  bool Covers(const NodeRef& node) const { return current_.Covers(node); }
+  Step Route(const NodeRef& node, uint8_t target_level) const {
+    return current_.Route(node, target_level);
+  }
+  /// The latest version of the key at or before `t` held by `node` (OK, or
+  /// NotFound for a tombstone or no version at all), or the history hop
+  /// toward it when every version here is newer than `t`.
+  Answer Resolve(const NodeRef& node, std::string* value) const;
+
+ private:
+  Slice key_;
+  TsbTime t_;
+  std::string composite_;  // CompositeKey(key, 0): routes current nodes
+  std::string probe_;      // CompositeKey(key, t): the version search key
+  BlinkPolicy current_;
 };
 
 }  // namespace pitree

@@ -726,8 +726,6 @@ def check_function(fn, sums, by_name, markers):
             return
         seen.add((line, rule, msg))
         ok, reason = marker_at(markers, line, _SUPPRESS[rule])
-        if not ok and rule == 'olc-deref':
-            ok, reason = marker_at(markers, line, 'lint:olc-validated')
         findings.append(Finding(fn.path, line, rule, fn.qualname, msg,
                                 suppressed=ok, reason=reason))
 
@@ -1057,6 +1055,37 @@ _EMBEDDED = [
           char c = h.data()[0];
           return l.Validate(w) && c;
         }'''}, [('olc-deref', 3)]),
+    # Ported from the retired lint rule `olc-validated`: the analyzer's
+    # olc-deref reaches the same verdict on each of its four cases.
+    ('olc-deref fires on a frame deref before Revalidate', {
+        'olc1.cc': '''bool ReadBad(BufferPool& pool, PageId id, char* out) {
+          OptimisticPage page;
+          if (!pool.FetchOptimistic(id, &page)) return false;
+          out[0] = frame.data.get()[0];
+          return pool.Revalidate(page);
+        }'''}, [('olc-deref', 4)]),
+    ('olc-deref quiet with a marker on the line above', {
+        'olc2.cc': '''bool ReadMarked(BufferPool& pool, PageId id, char* out) {
+          OptimisticPage page;
+          if (!pool.FetchOptimistic(id, &page)) return false;
+          // analyze:allow-olc-deref -- seeded self-test
+          memcpy(out, frame.data.get(), kPageSize);
+          return pool.Revalidate(page);
+        }'''}, []),
+    ('olc-deref quiet once the copy is validated', {
+        'olc3.cc': '''bool ReadGood(BufferPool& pool, PageId id, char* out) {
+          OptimisticPage page;
+          if (!pool.FetchOptimistic(id, &page)) return false;
+          if (!pool.ReadConsistent(page, out)) return false;
+          return out.data()[0] != 0;
+        }'''}, []),
+    ('olc-deref quiet in the next function after the window', {
+        'olc4.cc': '''uint64_t Begin(Latch& l) {
+          return l.OptimisticBegin();
+        }
+        char First(PageHandle& h) {
+          return h.data()[0];
+        }'''}, []),
     ('olc-deref quiet when a callee validates first', {
         'm.cc': '''bool CopyOut(Latch& l, uint64_t w, char* out) {
           return l.Validate(w);
