@@ -133,13 +133,6 @@ class CondVar {
     lk.release();
   }
 
-  template <typename Pred>
-  void Wait(Mutex& mu, Pred pred) REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    cv_.wait(lk, std::move(pred));
-    lk.release();
-  }
-
   template <typename Rep, typename Period>
   std::cv_status WaitFor(Mutex& mu,
                          const std::chrono::duration<Rep, Period>& dur)
@@ -148,20 +141,6 @@ class CondVar {
     const std::cv_status st = cv_.wait_for(lk, dur);
     lk.release();
     return st;
-  }
-
-  /// Returns pred() at wakeup (false = timed out with pred still false).
-  /// NOTE: prefer an explicit `while (!pred) Wait(mu)` loop in code whose
-  /// predicate touches GUARDED_BY fields — clang analyzes a lambda as a
-  /// separate function with no knowledge of the caller's held locks, so a
-  /// guarded-field predicate here would (correctly, but uselessly) warn.
-  template <typename Rep, typename Period, typename Pred>
-  bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& dur,
-               Pred pred) REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    const bool ok = cv_.wait_for(lk, dur, std::move(pred));
-    lk.release();
-    return ok;
   }
 
   template <typename Clock, typename Duration>

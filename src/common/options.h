@@ -29,15 +29,6 @@ struct Options {
   /// ratios are intended for tests that target shard-local behavior.
   size_t buffer_pool_shards = 0;
 
-  /// Group-commit window for WAL commit forces, in microseconds. A force
-  /// parks the caller until its record is durable; the first waiter is
-  /// elected leader and waits this long before the batch sync so that
-  /// commits arriving meanwhile can join it — one sync then absorbs them
-  /// all. 0 = sync immediately when a waiter exists (lowest single-commit
-  /// latency; batching still happens for commits that arrive while a
-  /// previous batch's sync is in flight).
-  size_t wal_group_commit_window_us = 0;
-
   /// CP vs. CNS (§5.2). When false, node consolidation never runs; the tree
   /// uses the Consolidation-Not-Supported invariant: single-latch traversal,
   /// no latch coupling, saved paths trusted without re-verification of node
@@ -96,14 +87,6 @@ struct Options {
   /// Root-to-leaf paths sampled per tree per sweep by the auditor.
   size_t maintenance_audit_sample = 8;
 
-  /// A node whose live payload falls below this percentage of usable space
-  /// is a consolidation candidate (§3.3).
-  size_t min_node_utilization_pct = 20;
-
-  /// Fraction of entries delegated on a split, in percent of the slot count
-  /// (50 = split at the median).
-  size_t split_point_pct = 50;
-
   /// Instant restore (DESIGN.md §13). When true, Database::Open returns
   /// after recovery's analysis and undo passes: redo is deferred to a
   /// per-page RecoveryMap that the buffer pool consults on first fetch, so
@@ -112,8 +95,8 @@ struct Options {
   /// offline behavior, byte-equivalent page images either way.
   bool instant_restore = false;
 
-  /// Whether instant restore starts a background sweeper thread that
-  /// fetches still-pending pages until the RecoveryMap drains. Disabled by
+  /// Whether instant restore starts a background sweeper that fetches
+  /// still-pending pages until the RecoveryMap drains. Disabled by
   /// tests that want deterministic, demand-only lazy redo. Ignored when
   /// instant_restore is false.
   bool recovery_sweeper = true;
@@ -124,12 +107,12 @@ struct Options {
   size_t recovery_sweep_delay_us = 0;
 
   /// Continuous checkpointing (DESIGN.md §14). The background checkpointer
-  /// thread takes a fuzzy checkpoint whenever new log exists and either
-  /// `checkpoint_interval_ms` has elapsed since the last checkpoint or
-  /// `checkpoint_log_bytes` of log have accumulated since the last master
-  /// record; each successful checkpoint then truncates WAL segments wholly
-  /// below the recovery floor. Both 0 (the default) = no background
-  /// checkpointer; explicit Database::Checkpoint() still works either way.
+  /// takes a fuzzy checkpoint whenever new log exists and either
+  /// `checkpoint_interval_ms` has elapsed or `checkpoint_log_bytes` of log
+  /// have accumulated since the last checkpoint it took; each successful
+  /// checkpoint then truncates WAL segments wholly below the recovery
+  /// floor. Both 0 (the default) = no background checkpointer; explicit
+  /// Database::Checkpoint() still works either way.
   uint64_t checkpoint_interval_ms = 0;
   uint64_t checkpoint_log_bytes = 0;
 

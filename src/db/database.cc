@@ -4,6 +4,7 @@
 #include "db/database.h"
 
 #include <chrono>
+#include <thread>
 
 #include "common/coding.h"
 #include "engine/log_apply.h"
@@ -37,7 +38,7 @@ Status Database::Init(const Options& options, Env* env,
 
   PITREE_RETURN_IF_ERROR(disk_.Open(env, name + ".db"));
   PITREE_RETURN_IF_ERROR(wal_.Open(env, name + ".wal",
-                                   options.wal_group_commit_window_us,
+                                   /*group_commit_window_us=*/0,
                                    options.wal_segment_bytes));
   ctx_.wal = &wal_;
 
@@ -165,27 +166,24 @@ Status Database::Init(const Options& options, Env* env,
   }
   if (options.instant_restore && options.recovery_sweeper &&
       recovery_map_->pending_pages() > 0) {
-    recovery_sweeper_ = std::thread([this] { RecoverySweepLoop(); });
+    redo_sweep_runner_.Start(std::chrono::microseconds(0));
   }
   if (options.checkpoint_interval_ms > 0 || options.checkpoint_log_bytes > 0) {
-    checkpointer_ = std::thread([this] { CheckpointLoop(); });
+    // Poll fast enough to notice a byte-budget trip promptly; a purely
+    // interval-driven configuration naps the whole interval. Start from the
+    // recovered end of the log: recovery itself covers the work before it.
+    checkpoint_poll_ = std::chrono::milliseconds(
+        options.checkpoint_log_bytes > 0 ? 1 : options.checkpoint_interval_ms);
+    last_checkpoint_begin_ = wal_.next_lsn();
+    last_checkpoint_time_ = std::chrono::steady_clock::now();
+    checkpoint_runner_.Start(checkpoint_poll_);
   }
   return Status::OK();
 }
 
-void Database::StopCheckpointer() {
-  {
-    MutexLock lk(&checkpointer_mu_);
-    checkpointer_stop_ = true;
-  }
-  checkpointer_cv_.NotifyAll();
-  if (checkpointer_.joinable()) checkpointer_.join();
-}
-
 Database::~Database() {
   StopCheckpointer();
-  sweeper_stop_.store(true, std::memory_order_relaxed);
-  if (recovery_sweeper_.joinable()) recovery_sweeper_.join();
+  redo_sweep_runner_.Stop();
   // Stop drains every queued completing action before joining the workers:
   // a clean shutdown finishes scheduled maintenance instead of losing it.
   // (Null when Init failed before constructing the service.)
@@ -329,76 +327,70 @@ Status Database::GetTsbIndex(const std::string& name, TsbTree** tree) {
   return Status::OK();
 }
 
+namespace {
+// Back-off after a lazy-redo fetch that found its shard full of pins or
+// failed, and the failure streak after which a walk gives up.
+constexpr std::chrono::microseconds kRedoBackoff{100};
+constexpr int kMaxFailureStreak = 1000;
+}  // namespace
+
+bool Database::RedoNextPending(PageId* floor, Status* s) {
+  PageId pid;
+  if (!recovery_map_->FirstPendingAtLeast(*floor, &pid)) {
+    *floor = 0;  // entries may remain below the cursor; wrap and recheck
+    if (!recovery_map_->FirstPendingAtLeast(0, &pid)) return false;
+  }
+  // Demand fetches race this benignly — whichever claims the frame first
+  // replays; the other finds the entry gone or the page resident.
+  PageHandle h;
+  *s = pool_->FetchPage(pid, &h);
+  if (!s->IsBusy()) *floor = pid + 1;
+  return true;
+}
+
 Status Database::WaitUntilRecovered() {
   // Drive the drain directly instead of waiting on the sweeper: fetching a
   // pending page replays it (and retires the map entry) whether or not a
-  // sweeper thread exists. Busy means the page's shard is transiently full
-  // of pins — back off briefly and retry; a persistently full shard
-  // surfaces after the retry budget rather than spinning forever.
+  // sweeper runs. Busy means the page's shard is transiently full of pins
+  // — back off briefly and retry; a persistently full shard surfaces after
+  // the retry budget rather than spinning forever.
   PageId floor = 0;
   int busy_streak = 0;
-  PageId pid;
-  while (recovery_map_->FirstPendingAtLeast(floor, &pid)) {
-    PageHandle h;
-    Status s = pool_->FetchPage(pid, &h);
+  Status s;
+  while (RedoNextPending(&floor, &s)) {
     if (s.IsBusy()) {
-      if (++busy_streak > 1000) return s;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      if (++busy_streak > kMaxFailureStreak) return s;
+      std::this_thread::sleep_for(kRedoBackoff);
       continue;
     }
     PITREE_RETURN_IF_ERROR(s);
     busy_streak = 0;
-    floor = pid + 1;
   }
   return Status::OK();
 }
 
-void Database::RecoverySweepLoop() {
-  // Lazy-redo background drain: walk pending page ids in order, fetching
-  // each so the pool's replay hook repeats its history. Demand fetches and
-  // this loop race benignly — whichever claims the frame first replays;
-  // the other finds the entry gone or the page resident.
-  const auto delay =
-      std::chrono::microseconds(ctx_.options.recovery_sweep_delay_us);
-  PageId floor = 0;
-  int error_streak = 0;
-  while (!sweeper_stop_.load(std::memory_order_relaxed)) {
-    PageId pid;
-    if (!recovery_map_->FirstPendingAtLeast(floor, &pid)) {
-      if (floor == 0) break;  // map drained
-      floor = 0;  // entries may remain below the cursor; wrap and recheck
-      continue;
-    }
-    PageHandle h;
-    Status s = pool_->FetchPage(pid, &h);
-    h.Reset();
-    if (s.IsBusy()) {
-      // Shard full of pins right now; let foreground traffic drain it.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      continue;
-    }
-    if (!s.ok()) {
-      // I/O or replay fault: leave the entry for a demand fetch (which
-      // will surface the error to a caller who can act on it) and move on —
-      // with backoff, so a page that fails persistently doesn't turn the
-      // wrap-around retry into a tight CPU loop. If every remaining page
-      // keeps failing, park the sweeper entirely; demand fetches own the
-      // residue from then on.
-      if (++error_streak > 1000) return;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      floor = pid + 1;
-      continue;
-    }
-    error_streak = 0;
-    floor = pid + 1;
-    if (delay.count() > 0) std::this_thread::sleep_for(delay);
+BackgroundThread::Next Database::RecoverySweepStep() {
+  using Next = BackgroundThread::Next;
+  Status s;
+  if (!RedoNextPending(&sweep_floor_, &s)) return Next::Stop();  // drained
+  if (s.ok()) {
+    sweep_errors_ = 0;
+    return Next::After(
+        std::chrono::microseconds(ctx_.options.recovery_sweep_delay_us));
   }
+  // Busy: the shard is full of pins right now; let foreground traffic drain
+  // it. I/O or replay fault: leave the entry for a demand fetch (which will
+  // surface the error to a caller who can act on it) and move on — with
+  // backoff, so a page that fails persistently doesn't turn the wrap-around
+  // retry into a tight CPU loop. If every remaining page keeps failing,
+  // park the sweeper; demand fetches own the residue from then on.
+  if (!s.IsBusy() && ++sweep_errors_ > kMaxFailureStreak) return Next::Stop();
+  return Next::After(kRedoBackoff);
 }
 
-Status Database::Checkpoint() {
-  Lsn begin = 0;
+Status Database::Checkpoint(Lsn* begin) {
   Lsn floor = 0;
-  PITREE_RETURN_IF_ERROR(checkpoints_->TakeCheckpoint(&begin, &floor));
+  PITREE_RETURN_IF_ERROR(checkpoints_->TakeCheckpoint(begin, &floor));
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
   // The checkpoint is durable and published, and its sync phase made every
   // pre-snapshot page write durable too; everything recovery can need now
@@ -406,59 +398,39 @@ Status Database::Checkpoint() {
   return wal_.TruncateBelow(floor);
 }
 
-void Database::CheckpointLoop() {
+BackgroundThread::Next Database::CheckpointStep() {
+  const auto poll = BackgroundThread::Next::After(checkpoint_poll_);
   const uint64_t interval_ms = ctx_.options.checkpoint_interval_ms;
   const uint64_t log_bytes = ctx_.options.checkpoint_log_bytes;
-  // Poll fast enough to notice a byte-budget trip promptly; a purely
-  // interval-driven configuration just sleeps the whole interval.
-  const auto poll =
-      std::chrono::milliseconds(log_bytes > 0 || interval_ms == 0
-                                    ? 1
-                                    : interval_ms);
-  auto last_time = std::chrono::steady_clock::now();
-  // Start from the recovered end of the log: the work before it is already
-  // covered by recovery itself, so the first checkpoint waits for new log.
-  Lsn last_begin = wal_.next_lsn();
-  int error_streak = 0;
-  for (;;) {
-    {
-      // Timed poll; StopCheckpointer() notifies to end the nap early. A
-      // spurious wakeup just reaches the due-checks below, which skip back
-      // here when nothing is due.
-      MutexLock lk(&checkpointer_mu_);
-      (void)checkpointer_cv_.WaitFor(checkpointer_mu_, poll);
-      if (checkpointer_stop_) return;
-    }
-    const Lsn appended = wal_.next_lsn();
-    if (appended <= last_begin) continue;  // no new log to cover
-    const bool bytes_due = log_bytes > 0 && appended - last_begin >= log_bytes;
-    const bool time_due =
-        interval_ms > 0 && std::chrono::steady_clock::now() - last_time >=
-                               std::chrono::milliseconds(interval_ms);
-    if (!bytes_due && !time_due) continue;
-    // Write dirty pages back first so the checkpoint's DPT — and with it
-    // the truncation floor — actually advances. Without writeback the
-    // oldest dirty page's recLSN pins the floor forever and the WAL never
-    // shrinks. A full flush is a stand-in for incremental writeback
-    // (ROADMAP item 5); the checkpoint stays fuzzy either way — no
-    // quiescing, traffic keeps dirtying pages while we flush.
-    Status s = pool_->FlushAll();
-    Lsn begin = 0;
-    Lsn floor = 0;
-    if (s.ok()) s = checkpoints_->TakeCheckpoint(&begin, &floor);
-    if (s.ok()) s = wal_.TruncateBelow(floor);
-    if (!s.ok()) {
-      // Transient fault (possibly injected): the next cycle re-derives
-      // everything from live state, so just back off. A persistently
-      // failing environment parks the thread instead of spinning.
-      if (++error_streak > 1000) return;
-      continue;
-    }
-    error_streak = 0;
-    checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
-    last_begin = begin;
-    last_time = std::chrono::steady_clock::now();
+  const Lsn appended = wal_.next_lsn();
+  if (appended <= last_checkpoint_begin_) return poll;  // no new log to cover
+  const bool bytes_due =
+      log_bytes > 0 && appended - last_checkpoint_begin_ >= log_bytes;
+  const bool time_due =
+      interval_ms > 0 &&
+      std::chrono::steady_clock::now() - last_checkpoint_time_ >=
+          std::chrono::milliseconds(interval_ms);
+  if (!bytes_due && !time_due) return poll;
+  // Write dirty pages back first so the checkpoint's DPT — and with it the
+  // truncation floor — actually advances. Without writeback the oldest
+  // dirty page's recLSN pins the floor forever and the WAL never shrinks.
+  // A full flush is a stand-in for incremental writeback (ROADMAP item 5);
+  // the checkpoint stays fuzzy either way — no quiescing, traffic keeps
+  // dirtying pages while we flush.
+  Lsn begin = 0;
+  Status s = pool_->FlushAll();
+  if (s.ok()) s = Checkpoint(&begin);
+  if (s.ok()) {
+    checkpoint_errors_ = 0;
+    last_checkpoint_begin_ = begin;
+    last_checkpoint_time_ = std::chrono::steady_clock::now();
+  } else if (++checkpoint_errors_ > kMaxFailureStreak) {
+    // Transient faults (possibly injected) just back off: the next step
+    // re-derives everything from live state. A persistently failing
+    // environment parks the checkpointer instead of spinning.
+    return BackgroundThread::Next::Stop();
   }
+  return poll;
 }
 
 Status Database::FlushAll() {

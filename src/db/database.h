@@ -2,11 +2,12 @@
 #define PITREE_DB_DATABASE_H_
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
+#include "common/background.h"
 #include "common/mutex.h"
 #include "common/options.h"
 #include "common/random.h"
@@ -106,18 +107,19 @@ class Database {
   // -- maintenance ----------------------------------------------------------
   /// Takes a fuzzy checkpoint (ATT + DPT + master record), then truncates
   /// WAL segments wholly below the floor the checkpoint justifies.
-  Status Checkpoint();
+  /// `begin`, when non-null, receives the checkpoint's begin LSN.
+  Status Checkpoint(Lsn* begin = nullptr);
   /// Checkpoints completed since Open (foreground and background). Tests and
   /// benches use it to confirm the continuous checkpointer is actually
   /// firing.
   uint64_t checkpoints_taken() const {
     return checkpoints_taken_.load(std::memory_order_relaxed);
   }
-  /// Stops the background checkpointer thread, if one is running; idempotent
+  /// Stops the background checkpointer, if one is running; idempotent
   /// and harmless when none was started. Crash tests call this before
   /// abandoning a database (SimEnv::Crash + release) so no detached thread
   /// keeps mutating the post-crash environment they are about to verify.
-  void StopCheckpointer();
+  void StopCheckpointer() { checkpoint_runner_.Stop(); }
   /// Drains pending background maintenance, then flushes WAL and all dirty
   /// pages (clean shutdown helper).
   Status FlushAll();
@@ -144,14 +146,19 @@ class Database {
   std::vector<PiTree*> SnapshotTrees();
   void SweepConsolidationTask();
   void AuditTask();
-  /// Background lazy-redo drain: fetches pending pages in id order so the
-  /// recovery map empties even on a read-light workload.
-  void RecoverySweepLoop();
+  /// The lazy-redo walk's one step, shared by the recovery sweeper and
+  /// WaitUntilRecovered: fetches (so replays) the first page pending at or
+  /// above `*floor`, wrapping once, and moves `*floor` past it unless the
+  /// fetch was Busy. False, with nothing fetched, once the map is drained.
+  bool RedoNextPending(PageId* floor, Status* s);
+  /// Background lazy-redo drain in page-id order, so the recovery map
+  /// empties even on a read-light workload.
+  BackgroundThread::Next RecoverySweepStep();
   /// Continuous checkpointing (DESIGN.md §14): fires a fuzzy checkpoint
   /// whenever Options::checkpoint_interval_ms has elapsed or
   /// Options::checkpoint_log_bytes of new log accumulated since the last
-  /// one, then truncates WAL segments below the checkpoint's floor.
-  void CheckpointLoop();
+  /// one it took, then truncates WAL segments below the checkpoint's floor.
+  BackgroundThread::Next CheckpointStep();
 
   EngineContext ctx_;
   DiskManager disk_;
@@ -177,14 +184,16 @@ class Database {
       GUARDED_BY(maint_mu_);
   Random audit_rnd_ GUARDED_BY(maint_mu_){0xA0D17};
 
-  std::thread recovery_sweeper_;
-  std::atomic<bool> sweeper_stop_{false};
-
-  std::thread checkpointer_;
-  Mutex checkpointer_mu_;
-  CondVar checkpointer_cv_;
-  bool checkpointer_stop_ GUARDED_BY(checkpointer_mu_) = false;
   std::atomic<uint64_t> checkpoints_taken_{0};
+
+  // Step state, touched only by the step's own thread.
+  PageId sweep_floor_ = 0;
+  int sweep_errors_ = 0, checkpoint_errors_ = 0;
+  std::chrono::milliseconds checkpoint_poll_{1};
+  std::chrono::steady_clock::time_point last_checkpoint_time_;
+  Lsn last_checkpoint_begin_ = 0;
+  BackgroundThread redo_sweep_runner_{[this] { return RecoverySweepStep(); }};
+  BackgroundThread checkpoint_runner_{[this] { return CheckpointStep(); }};
 };
 
 }  // namespace pitree

@@ -1,6 +1,7 @@
 #include "maintenance/maintenance_service.h"
 
 #include <chrono>
+#include <thread>
 
 namespace pitree {
 
@@ -79,37 +80,18 @@ Status MaintenanceService::ExecuteWithRetry(size_t shard,
 }
 
 void MaintenanceService::Start() {
-  bool expected = false;
-  if (workers_ > 0 &&
-      workers_running_.compare_exchange_strong(expected, true)) {
+  if (workers_ > 0) {
     for (auto& q : shards_) q->StartBackground();
   }
-  MutexLock lk(&sweep_mu_);
-  if (sweep_interval_ms_ > 0 && !sweeper_running_) {
-    sweeper_stop_ = false;
-    sweeper_running_ = true;
-    sweeper_ = std::thread([this] { SweeperLoop(); });
+  if (sweep_interval_ms_ > 0) {
+    sweep_runner_.Start(std::chrono::milliseconds(sweep_interval_ms_));
   }
 }
 
 void MaintenanceService::Stop() {
   // Sweeper first: it is a producer of new jobs.
-  std::thread sweeper;
-  {
-    MutexLock lk(&sweep_mu_);
-    if (sweeper_running_) {
-      sweeper_stop_ = true;
-      sweeper = std::move(sweeper_);
-      sweeper_running_ = false;
-    }
-  }
-  if (sweeper.joinable()) {
-    sweep_cv_.NotifyAll();
-    sweeper.join();
-  }
-  if (workers_running_.exchange(false)) {
-    for (auto& q : shards_) q->StopBackground();  // drains each shard
-  }
+  sweep_runner_.Stop();
+  for (auto& q : shards_) q->StopBackground();  // drains each shard
   // A drained job may have scheduled follow-ups into an already-stopped
   // shard; finish those on this thread.
   Drain();
@@ -159,19 +141,10 @@ void MaintenanceService::RunSweepTasksOnce() {
   sweep_cycles_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void MaintenanceService::SweeperLoop() {
-  ReleasableMutexLock lk(&sweep_mu_);
-  while (!sweeper_stop_) {
-    // Timed nap; Stop() notifies to end it early. A spurious wakeup just
-    // starts the next cycle sooner, which is harmless — the loop still
-    // blocks here every iteration, so there is no spin.
-    (void)sweep_cv_.WaitFor(sweep_mu_,
-                            std::chrono::milliseconds(sweep_interval_ms_));
-    if (sweeper_stop_) return;
-    lk.Unlock();
-    RunSweepTasksOnce();
-    lk.Lock();
-  }
+BackgroundThread::Next MaintenanceService::SweepStep() {
+  RunSweepTasksOnce();
+  return BackgroundThread::Next::After(
+      std::chrono::milliseconds(sweep_interval_ms_));
 }
 
 void MaintenanceService::NoteSweep(size_t nodes_examined,

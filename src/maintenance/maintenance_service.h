@@ -6,10 +6,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/background.h"
 #include "common/mutex.h"
 #include "common/options.h"
 #include "common/status.h"
@@ -82,12 +82,12 @@ class MaintenanceService {
 
   /// Starts the worker pool (one worker per shard; none when the service
   /// was configured with maintenance_workers == 0) and, when a sweep
-  /// interval is configured, the sweeper thread.
+  /// interval is configured, the sweeper. Both run on BackgroundThread.
   void Start();
 
-  /// Drains every queued job, then stops workers and the sweeper. Queued
-  /// completing actions survive a clean shutdown; only a crash loses them,
-  /// which §5.1 makes safe.
+  /// Stops the sweeper and the workers, then drains every queued job on
+  /// the calling thread. Queued completing actions survive a clean
+  /// shutdown; only a crash loses them, which §5.1 makes safe.
   void Stop();
 
   /// Executes queued jobs on the calling thread until all shards are empty
@@ -103,7 +103,7 @@ class MaintenanceService {
   void RegisterSweepTask(std::string name, SweepTask task);
 
   /// Runs one sweep cycle on the calling thread (deterministic tests and
-  /// manual triggering; also what the sweeper thread runs per period).
+  /// manual triggering; also what the sweeper runs per period).
   void RunSweepTasksOnce();
 
   /// Sweep tasks report their work through these.
@@ -126,7 +126,8 @@ class MaintenanceService {
     return static_cast<size_t>(address) % shards_.size();
   }
   Status ExecuteWithRetry(size_t shard, const CompletionJob& job);
-  void SweeperLoop();
+  /// The sweeper's step: one sweep cycle, then nap for the interval.
+  BackgroundThread::Next SweepStep();
 
   const size_t workers_;
   const size_t retry_limit_;
@@ -135,7 +136,6 @@ class MaintenanceService {
   Executor executor_;
   std::vector<std::unique_ptr<CompletionQueue>> shards_;
 
-  std::atomic<bool> workers_running_{false};
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> retries_exhausted_{0};
@@ -148,15 +148,12 @@ class MaintenanceService {
   std::atomic<uint64_t> audit_nodes_{0};
   std::atomic<uint64_t> audit_violations_{0};
 
-  mutable Mutex sweep_mu_;  // sweeper lifecycle, tasks, last report
-  CondVar sweep_cv_;
+  mutable Mutex sweep_mu_;  // tasks, last reports
   std::vector<std::pair<std::string, SweepTask>> sweep_tasks_
       GUARDED_BY(sweep_mu_);
   std::string last_audit_violation_ GUARDED_BY(sweep_mu_);
   std::string last_failure_ GUARDED_BY(sweep_mu_);
-  std::thread sweeper_ GUARDED_BY(sweep_mu_);
-  bool sweeper_running_ GUARDED_BY(sweep_mu_) = false;
-  bool sweeper_stop_ GUARDED_BY(sweep_mu_) = false;
+  BackgroundThread sweep_runner_{[this] { return SweepStep(); }};
 };
 
 }  // namespace pitree

@@ -18,30 +18,29 @@ CompletionQueue::Admit CompletionQueue::Enqueue(CompletionJob job) {
     queue_.push_back(std::move(job));
   }
   enqueued_.fetch_add(1, std::memory_order_relaxed);
-  cv_.NotifyOne();
+  runner_.Wake();
   return Admit::kQueued;
 }
 
-bool CompletionQueue::PopFrontLocked(CompletionJob* out) {
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  // The dedup window closes at dequeue, not at completion: once execution
-  // begins, a freshly detected identical job reflects a *new* observation
-  // of the tree and must be admitted again.
-  if (dedup_) keys_.erase(DedupKey(*out));
+bool CompletionQueue::RunOne() {
+  CompletionJob job;
+  {
+    MutexLock lk(&mu_);
+    if (queue_.empty()) return false;
+    job = std::move(queue_.front());
+    queue_.pop_front();
+    // The dedup window closes at dequeue, not at completion: once execution
+    // begins, a freshly detected identical job reflects a *new* observation
+    // of the tree and must be admitted again.
+    if (dedup_) keys_.erase(DedupKey(job));
+  }
+  if (executor_) executor_(job).ok();
+  executed_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void CompletionQueue::Drain() {
-  for (;;) {
-    CompletionJob job;
-    {
-      MutexLock lk(&mu_);
-      if (!PopFrontLocked(&job)) return;
-    }
-    if (executor_) executor_(job).ok();
-    executed_.fetch_add(1, std::memory_order_relaxed);
+  while (RunOne()) {
   }
 }
 
@@ -59,43 +58,15 @@ size_t CompletionQueue::depth() const {
   return queue_.size();
 }
 
-void CompletionQueue::StartBackground() {
-  MutexLock lk(&mu_);
-  if (worker_running_) return;
-  stop_ = false;
-  worker_running_ = true;
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
 void CompletionQueue::StopBackground() {
-  std::thread worker;
-  {
-    MutexLock lk(&mu_);
-    if (!worker_running_) return;
-    stop_ = true;
-    worker = std::move(worker_);
-    worker_running_ = false;
-  }
-  cv_.NotifyAll();
-  // The worker drains the queue before exiting (see WorkerLoop): a clean
-  // stop never discards scheduled completing actions.
-  worker.join();
+  runner_.Stop();
+  // A clean stop never discards scheduled completing actions.
+  Drain();
 }
 
-void CompletionQueue::WorkerLoop() {
-  ReleasableMutexLock lk(&mu_);
-  for (;;) {
-    // One condition decides everything: sleep only while there is neither
-    // work nor a stop request. On stop the loop keeps consuming until the
-    // queue is empty, so shutdown drains instead of dropping.
-    while (!stop_ && queue_.empty()) cv_.Wait(mu_);
-    CompletionJob job;
-    if (!PopFrontLocked(&job)) return;  // empty here implies stop_
-    lk.Unlock();
-    if (executor_) executor_(job).ok();
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    lk.Lock();
-  }
+BackgroundThread::Next CompletionQueue::WorkerStep() {
+  return RunOne() ? BackgroundThread::Next::After(std::chrono::microseconds(0))
+                  : BackgroundThread::Next::Sleep();
 }
 
 }  // namespace pitree

@@ -6,10 +6,10 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
+#include "common/background.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -35,7 +35,8 @@ struct CompletionJob {
   SavedPath path;          // remembered path (verified before trust, §5.2)
 };
 
-/// Queue of completing atomic actions with an optional background worker.
+/// Queue of completing atomic actions with an optional background worker
+/// (a BackgroundThread whose step runs one job).
 /// In inline mode (Options::inline_completion) trees execute their own
 /// pending jobs at the end of each operation and this queue is bypassed.
 ///
@@ -54,7 +55,6 @@ class CompletionQueue {
   enum class Admit : uint8_t { kQueued, kDuplicate, kDropped };
 
   CompletionQueue() = default;
-  ~CompletionQueue() { StopBackground(); }
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
@@ -77,10 +77,11 @@ class CompletionQueue {
   std::vector<CompletionJob> TakeAll();
 
   /// Starts/stops a background worker thread that drains continuously.
-  /// StopBackground first drains every queued job on the worker: queued
-  /// completing actions survive a *clean* shutdown (only a crash may lose
-  /// them, which is safe — recovery-time traversals re-detect the work).
-  void StartBackground();
+  /// StopBackground stops the worker, then drains every queued job on the
+  /// calling thread: queued completing actions survive a *clean* shutdown
+  /// (only a crash may lose them, which is safe — recovery-time traversals
+  /// re-detect the work).
+  void StartBackground() { runner_.Start(std::chrono::microseconds(0)); }
   void StopBackground();
 
   uint64_t enqueued_count() const { return enqueued_.load(); }
@@ -98,26 +99,25 @@ class CompletionQueue {
            static_cast<uint64_t>(job.address);
   }
 
-  /// Pops the front job (and its dedup key). False when empty.
-  bool PopFrontLocked(CompletionJob* out) REQUIRES(mu_);
-
-  void WorkerLoop();
+  /// Pops and runs the front job. False when the queue is empty.
+  bool RunOne();
+  /// The worker's step: one job, or sleep until Enqueue wakes it.
+  BackgroundThread::Next WorkerStep();
 
   Executor executor_;
   mutable Mutex mu_;
-  CondVar cv_;
   std::deque<CompletionJob> queue_ GUARDED_BY(mu_);
   /// Dedup index over queue_.
   std::unordered_set<uint64_t> keys_ GUARDED_BY(mu_);
-  std::thread worker_ GUARDED_BY(mu_);
-  bool stop_ GUARDED_BY(mu_) = false;
-  bool worker_running_ GUARDED_BY(mu_) = false;
   size_t capacity_ = 0;
   bool dedup_ = false;
   std::atomic<uint64_t> enqueued_{0};
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> deduped_{0};
   std::atomic<uint64_t> dropped_{0};
+  /// Last member, so destroyed (stopped) first. Only StopBackground()
+  /// drains; jobs left in a destroyed queue are hints (§5.1).
+  BackgroundThread runner_{[this] { return WorkerStep(); }};
 };
 
 }  // namespace pitree

@@ -14,6 +14,10 @@
 
 namespace pitree {
 
+// A node whose live payload falls below this percentage of usable space is
+// a consolidation candidate (§3.3).
+constexpr size_t kMinNodeUtilizationPct = 20;
+
 PiTree::PiTree(EngineContext* ctx, PageId root) : ctx_(ctx), root_(root) {}
 
 // lint:tsa-escape -- bootstrap/recovery latches pages across helper
@@ -80,8 +84,7 @@ void PiTree::MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node,
   if (!ctx_->options.consolidation_enabled) return;
   if (node.is_root()) return;
   size_t usable = kPageSize - 48;
-  if (node.UsedCellBytes() * 100 >=
-      usable * ctx_->options.min_node_utilization_pct) {
+  if (node.UsedCellBytes() * 100 >= usable * kMinNodeUtilizationPct) {
     return;
   }
   CompletionJob job;

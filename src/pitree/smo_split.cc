@@ -48,9 +48,8 @@ Status PiTree::SplitNode(Transaction* txn, PageHandle& h, PageId* new_sibling,
   if (node.entry_count() < 2) {
     return Status::NoSpace("node too small to split (oversized record?)");
   }
-  // Partition the directly contained space (§3.2.1 step 2).
-  int split_slot = static_cast<int>(node.entry_count()) *
-                   static_cast<int>(ctx_->options.split_point_pct) / 100;
+  // Partition the directly contained space (§3.2.1 step 2) at the median.
+  int split_slot = static_cast<int>(node.entry_count()) / 2;
   if (split_slot < 1) split_slot = 1;
   if (split_slot >= node.entry_count()) split_slot = node.entry_count() - 1;
   std::string split_key = node.EntryKey(split_slot).ToString();
@@ -203,8 +202,8 @@ Status PiTree::SplitLeafForInsert(OpCtx* op, PageHandle* leaf,
     // runs as an independent action, before and apart from the transaction.
     NodeRef node(leaf->data());
     if (node.entry_count() >= 2) {
-      int split_slot = static_cast<int>(node.entry_count()) *
-                       static_cast<int>(ctx_->options.split_point_pct) / 100;
+      // The same median slot SplitNode picks.
+      int split_slot = static_cast<int>(node.entry_count()) / 2;
       if (split_slot < 1) split_slot = 1;
       std::string split_key = node.EntryKey(split_slot).ToString();
       for (const auto& e : node.EntriesFrom(split_key)) {

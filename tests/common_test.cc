@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/background.h"
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/random.h"
@@ -178,6 +182,119 @@ TEST(RandomTest, SkewedInRangeAndSkewed) {
   }
   // A skewed distribution should strongly favor the low half.
   EXPECT_GT(low_half, 7000);
+}
+
+// BackgroundThread: the cases the completion-queue and maintenance tests,
+// which run real clients on it, do not reach.
+
+using Next = BackgroundThread::Next;
+using std::chrono::microseconds;
+
+// Spins until `pred` holds or 5 s pass; returns pred().
+template <typename Pred>
+bool Eventually(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return pred();
+}
+
+TEST(BackgroundThreadTest, WakeDuringStepRunsAnotherStep) {
+  std::atomic<int> steps{0};
+  std::atomic<bool> in_step{false};
+  std::atomic<bool> release{false};
+  BackgroundThread t([&] {
+    if (steps.fetch_add(1) == 0) {
+      in_step.store(true);
+      while (!release.load()) std::this_thread::yield();
+    }
+    return Next::Sleep();
+  });
+  t.Start(microseconds(0));
+  ASSERT_TRUE(Eventually([&] { return in_step.load(); }));
+  t.Wake();  // arrives while the first step is running
+  release.store(true);
+  EXPECT_TRUE(Eventually([&] { return steps.load() == 2; }));
+  // One wake buys one more step, not a spin.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(steps.load(), 2);
+  t.Stop();
+}
+
+TEST(BackgroundThreadTest, NoWakeIsLost) {
+  // Every post is followed by a Wake; a step observes the posts. If any
+  // wake-up were lost the runner would sleep short of the last post.
+  constexpr int kPosts = 20000;
+  std::atomic<int> posted{0};
+  std::atomic<int> seen{0};
+  BackgroundThread t([&] {
+    seen.store(posted.load());
+    return Next::Sleep();
+  });
+  t.Start(microseconds(0));
+  std::thread producer([&] {
+    for (int i = 0; i < kPosts; ++i) {
+      posted.fetch_add(1);
+      t.Wake();
+    }
+  });
+  producer.join();
+  EXPECT_TRUE(Eventually([&] { return seen.load() == kPosts; }));
+  t.Stop();
+}
+
+TEST(BackgroundThreadTest, StopBeforeStartAndStopTwiceAreNoOps) {
+  std::atomic<int> steps{0};
+  BackgroundThread t([&] {
+    steps.fetch_add(1);
+    return Next::Sleep();
+  });
+  t.Stop();  // never started
+  t.Stop();
+  EXPECT_EQ(steps.load(), 0);
+  t.Start(microseconds(0));
+  ASSERT_TRUE(Eventually([&] { return steps.load() == 1; }));
+  t.Stop();
+  t.Stop();  // already stopped
+  EXPECT_EQ(steps.load(), 1);
+}
+
+TEST(BackgroundThreadTest, StepReturningStopEndsTheThread) {
+  std::atomic<int> steps{0};
+  BackgroundThread t([&] {
+    steps.fetch_add(1);
+    return Next::Stop();
+  });
+  t.Start(microseconds(0));
+  ASSERT_TRUE(Eventually([&] { return steps.load() == 1; }));
+  t.Wake();  // nobody is waiting any more
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(steps.load(), 1);
+  t.Stop();  // still joins the ended thread and returns
+  EXPECT_EQ(steps.load(), 1);
+}
+
+TEST(BackgroundThreadTest, StopCutsALongWaitShort) {
+  std::atomic<int> steps{0};
+  BackgroundThread t([&] {
+    steps.fetch_add(1);
+    return Next::After(std::chrono::seconds(10));
+  });
+  t.Start(microseconds(0));
+  ASSERT_TRUE(Eventually([&] { return steps.load() == 1; }));
+  auto t0 = std::chrono::steady_clock::now();
+  t.Stop();  // the runner is 10 s into nothing
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(500));
+  // The first wait, too, belongs to Stop.
+  t.Start(std::chrono::seconds(10));
+  t0 = std::chrono::steady_clock::now();
+  t.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(500));
+  EXPECT_EQ(steps.load(), 1);
 }
 
 }  // namespace

@@ -724,5 +724,38 @@ TEST_F(RecoveryTest, SweeperBacksOffOnPersistentReadFaults) {
   (void)db->Commit(txn);
 }
 
+TEST_F(RecoveryTest, ShutdownCutsTheRecoverySweepersPacingShort) {
+  // Regression: the sweeper's per-page pacing was an uninterruptible sleep,
+  // so closing a database mid-sweep blocked for up to a whole delay.
+  Options opts = DefaultOptions();
+  opts.buffer_pool_pages = 16;  // evictions: stale durable images need redo
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
+    PiTree* tree;
+    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+    std::string value(150, 'x');
+    for (int i = 0; i < 400; ++i) {
+      Transaction* txn = db->Begin();
+      ASSERT_TRUE(tree->Insert(txn, Key(i), value).ok());
+      ASSERT_TRUE(db->Commit(txn).ok());
+    }
+    env_.Crash();
+    db.release();
+  }
+  Options iopts = opts;
+  iopts.instant_restore = true;
+  iopts.recovery_sweeper = true;
+  iopts.recovery_sweep_delay_us = 3'000'000;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(iopts, &env_, "db", &db).ok());
+  ASSERT_GT(db->recovery_pending_pages(), 1u);
+  // Let the sweeper replay a page and enter its 3 s pause.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto t0 = std::chrono::steady_clock::now();
+  db.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
 }  // namespace
 }  // namespace pitree

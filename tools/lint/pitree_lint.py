@@ -41,6 +41,13 @@ and tools/analyze/concurrency_analyzer.py honor.
                     nothing), or a registered marker missing its required
                     `-- <reason>` / `=<value>` parts.
 
+  raw-thread        A std::thread (or std::jthread) object or construction
+                    in src/ outside src/common/background.*. Every engine
+                    background loop runs on BackgroundThread, so its
+                    lifecycle (start, interruptible waits, stop, join) is
+                    written once. std::thread::hardware_concurrency and
+                    std::this_thread are fine.
+
   tsa-escape-audit  A NO_THREAD_SAFETY_ANALYSIS escape in src/ without a
                     `lint:tsa-escape -- <reason>` marker in the lines
                     directly above it. Every hole punched in clang's
@@ -261,6 +268,26 @@ def check_unknown_marker(path, text):
 
 
 # ---------------------------------------------------------------------------
+# Rule: raw-thread
+# ---------------------------------------------------------------------------
+
+_RAW_THREAD = re.compile(r'\bstd::j?thread\b(?!\s*::)')
+_RAW_THREAD_HOME = 'src/common/background.'
+
+
+def check_raw_thread(path, text):
+    if str(path).startswith(_RAW_THREAD_HOME):
+        return []
+    return [Finding(path, lineno, 'raw-thread',
+                    'raw std::thread outside src/common/background.*; run '
+                    'background work as a BackgroundThread step so its '
+                    'waits stay interruptible and its lifecycle is the '
+                    'shared one')
+            for lineno, line in strip_code_lines(text)
+            if _RAW_THREAD.search(line)]
+
+
+# ---------------------------------------------------------------------------
 # Rule: tsa-escape-audit
 # ---------------------------------------------------------------------------
 
@@ -309,6 +336,7 @@ def lint_file(path, rel):
         findings += check_naked_latch(rel, text)
     if under_src:
         findings += check_tsa_escape_audit(rel, text)
+        findings += check_raw_thread(rel, text)
     findings += check_ignored_status(rel, text)
     findings += check_unknown_marker(rel, text)
     return findings
@@ -428,13 +456,32 @@ _SELF_TESTS = [
      void Descend(PageHandle& h) NO_THREAD_SAFETY_ANALYSIS {
        h.latch().AcquireS();
      }''', 0),
+    ('raw-thread fires on a std::thread outside the runner',
+     check_raw_thread,
+     '''void Service::Start() {
+       std::thread t([this] { Loop(); });
+       t.detach();
+     }''', 1),
+    ('raw-thread quiet on hardware_concurrency and this_thread',
+     check_raw_thread,
+     '''size_t Shards() {
+       size_t hw = std::thread::hardware_concurrency();
+       std::this_thread::yield();
+       return hw;
+     }''', 0),
+    ('raw-thread quiet inside the runner itself',
+     check_raw_thread,
+     '''void BackgroundThread::Start(std::chrono::microseconds first_wait) {
+       thread_ = std::thread([this, first_wait] { Run(first_wait); });
+     }''', 0, 'src/common/background.cc'),
 ]
 
 
 def self_test():
     failures = 0
-    for name, rule, snippet, expected in _SELF_TESTS:
-        got = rule(pathlib.PurePosixPath('src/self_test.cc'), snippet)
+    for name, rule, snippet, expected, *path in _SELF_TESTS:
+        got = rule(pathlib.PurePosixPath(*(path or ['src/self_test.cc'])),
+                   snippet)
         if len(got) != expected:
             failures += 1
             print(f'SELF-TEST FAIL: {name}: expected {expected} finding(s), '
