@@ -10,6 +10,7 @@
 #include "common/options.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/striped_counter.h"
 #include "common/types.h"
 #include "engine/engine_context.h"
 #include "pitree/completion.h"
@@ -35,7 +36,7 @@ struct PiTreeStats {
   std::atomic<uint64_t> saved_path_hits{0};
   std::atomic<uint64_t> saved_path_misses{0};
   std::atomic<uint64_t> in_txn_splits{0};   // page-oriented-undo mode (§4.2)
-  std::atomic<uint64_t> optimistic_gets{0};       // latch-free Get successes
+  StripedCounter optimistic_gets;                 // latch-free Get successes
   std::atomic<uint64_t> optimistic_fallbacks{0};  // Busy -> latched descent
 };
 

@@ -712,7 +712,7 @@ PoolShardStats BufferPool::ShardCounters::Snapshot() const {
   s.evictions = evictions.load(std::memory_order_relaxed);
   s.flushes = flushes.load(std::memory_order_relaxed);
   s.io_waits = io_waits.load(std::memory_order_relaxed);
-  s.opt_hits = opt_hits.load(std::memory_order_relaxed);
+  s.opt_hits = opt_hits.load();
   s.opt_fallbacks = opt_fallbacks.load(std::memory_order_relaxed);
   s.mutex_acquires = mutex_acquires.load(std::memory_order_relaxed);
   return s;

@@ -11,6 +11,7 @@
 
 #include "common/mutex.h"
 #include "common/status.h"
+#include "common/striped_counter.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "storage/disk_manager.h"
@@ -261,7 +262,7 @@ class BufferPool {
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> flushes{0};
     std::atomic<uint64_t> io_waits{0};
-    std::atomic<uint64_t> opt_hits{0};
+    StripedCounter opt_hits;  // one bump per optimistic hop: striped
     std::atomic<uint64_t> opt_fallbacks{0};
     std::atomic<uint64_t> mutex_acquires{0};
     PoolShardStats Snapshot() const;

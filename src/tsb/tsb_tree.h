@@ -7,6 +7,7 @@
 
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/striped_counter.h"
 #include "common/types.h"
 #include "engine/engine_context.h"
 #include "pitree/descent.h"
@@ -33,7 +34,7 @@ struct TsbStats {
   std::atomic<uint64_t> root_grows{0};
   std::atomic<uint64_t> history_hops{0};  // history sibling traversals
   std::atomic<uint64_t> side_traversals{0};
-  std::atomic<uint64_t> optimistic_gets{0};       // latch-free read successes
+  StripedCounter optimistic_gets;                 // latch-free read successes
   std::atomic<uint64_t> optimistic_fallbacks{0};  // Busy -> latched descent
 };
 

@@ -34,7 +34,8 @@ enum class LockMode : uint8_t {
 /// and release their locks at action end rather than at user-commit.
 ///
 /// Not thread-safe: a transaction is driven by one thread at a time; the
-/// TxnManager's table lock guards cross-thread visibility (checkpointing).
+/// TxnManager's table lock guards cross-thread visibility (checkpointing),
+/// and only transactions that have logged are in that table.
 /// Exception: `last_lsn`, `undo_next`, and `commit_appended` are read by
 /// the checkpointer's ATT snapshot while the owning thread appends log
 /// records, so they are atomics published *inside* the WAL append mutex
@@ -43,6 +44,10 @@ struct Transaction {
   TxnId id = kInvalidTxnId;
   bool is_system = false;
   TxnState state = TxnState::kRunning;
+
+  /// kBegin logged, hence in TxnManager's table. Set by the owning thread
+  /// in the kBegin critical section; read only by the owning thread.
+  bool logged = false;
 
   /// LSN of this transaction's kBegin record (0 until logged). Checkpoints
   /// snapshot it into the ATT: the WAL truncation floor must stay at or

@@ -33,7 +33,12 @@ struct AttEntry {
   Lsn first_lsn = kInvalidLsn;
 };
 
-/// Owns all live transactions and atomic actions.
+/// Runs transactions and atomic actions. A transaction joins the table (the
+/// checkpoint ATT's source) in the critical section that appends its kBegin
+/// record; until then the caller of Begin owns it, so read-only work takes
+/// no TxnManager or oracle mutex. Every Begin must end in Commit or Abort,
+/// which free the transaction whether or not it logged. Logged ones still
+/// in the table (a failed commit, recovery losers) die with the TxnManager.
 ///
 /// Commit policy (§4.3.1):
 ///  - user transactions force the log through their commit record;
@@ -62,11 +67,12 @@ class TxnManager {
   void set_oracle(TimestampOracle* oracle) { oracle_ = oracle; }
 
   /// Starts a user transaction (is_system=false) or an atomic action
-  /// (is_system=true). The kBegin record is logged lazily on first update,
-  /// so read-only work writes nothing.
+  /// (is_system=true). Takes no mutex. The kBegin record is logged lazily
+  /// on first update, so read-only work writes nothing.
   Transaction* Begin(bool is_system = false);
 
-  /// Logs the kBegin record if not yet logged. Called by LogAndApply.
+  /// Logs the kBegin record and registers the transaction in the table,
+  /// if not yet logged. Called by LogAndApply.
   Status EnsureBegun(Transaction* txn);
 
   /// Commits: logs kCommit; forces the log for user transactions; releases
@@ -95,8 +101,6 @@ class TxnManager {
   /// ATT snapshot for fuzzy checkpoints.
   std::vector<AttEntry> SnapshotAtt() const;
 
-  size_t active_count() const;
-
  private:
   WalManager* const wal_;
   LockManager* const locks_;
@@ -108,10 +112,9 @@ class TxnManager {
   Mutex commit_order_mu_;
 
   mutable Mutex mu_;
+  /// Transactions that have logged their kBegin record.
   std::unordered_map<TxnId, std::unique_ptr<Transaction>> active_
       GUARDED_BY(mu_);
-  /// kBegin logged yet?
-  std::unordered_map<TxnId, bool> begun_ GUARDED_BY(mu_);
   std::atomic<TxnId> next_id_{1};
 };
 

@@ -23,6 +23,7 @@
 #include "common/coding.h"
 #include "db/database.h"
 #include "env/sim_env.h"
+#include "harness/abandon.h"
 #include "recovery/checkpoint.h"
 #include "wal/log_reader.h"
 #include "wal/wal_segments.h"
@@ -110,8 +111,7 @@ TEST_P(CrashTortureTest, EveryLogPrefixRecoversToConsistentState) {
     ASSERT_TRUE(wal->FlushAll().ok());
     env.Crash();
     // `loser` and `db` are abandoned, as a crash would abandon them.
-    db.release();  // intentionally leak: its threads are stopped; memory
-                   // freed at process exit (destructor would try to log)
+    harness::AbandonCrashed(std::move(db));
   }
 
   // ---- Phase 2: enumerate record boundaries of the captured log. The
@@ -237,7 +237,7 @@ TEST_F(RecoveryTest, CommittedTransactionSurvivesCrashWithoutPageFlush) {
     ASSERT_TRUE(tree->Insert(txn, "durable", "yes").ok());
     ASSERT_TRUE(db->Commit(txn).ok());  // forces the WAL, not the pages
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   std::unique_ptr<Database> db;
   RecoveryStats stats;
@@ -266,7 +266,7 @@ TEST_F(RecoveryTest, UncommittedTransactionRolledBackOnRecovery) {
     // Force the loser's records into the durable log WITHOUT a commit.
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   RecoveryStats stats;
   std::unique_ptr<Database> db;
@@ -310,7 +310,7 @@ TEST_F(RecoveryTest, CommitFailsOnWalSyncFaultAndIsAbsentAfterCrash) {
     EXPECT_GE(db->wal_stats().sync_failures, 1u);
 
     env_.Crash();
-    db.release();  // intentionally leak, as in the other crash tests
+    harness::AbandonCrashed(std::move(db));
   }
   plan.ClearErrorRules();
   RecoveryStats stats;
@@ -324,6 +324,129 @@ TEST_F(RecoveryTest, CommitFailsOnWalSyncFaultAndIsAbsentAfterCrash) {
   EXPECT_EQ(v, "1");
   EXPECT_TRUE(tree->Get(txn, "lost", &v).IsNotFound());
   (void)db->Commit(txn);
+}
+
+// A transaction joins the transaction table only when it first logs. One
+// that reads, waits out a checkpoint, and only then updates is absent from
+// that checkpoint's ATT and logs its kBegin above the checkpoint's begin
+// record, so analysis (which starts at that begin) must still find it: as a
+// loser to undo, or as a winner whose update survives.
+class ReadCheckpointUpdateTest : public RecoveryTest {
+ protected:
+  void RunAndCrash(bool commit) {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(DefaultOptions(), &env_, "db", &db).ok());
+    PiTree* tree;
+    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+    Transaction* setup = db->Begin();
+    ASSERT_TRUE(tree->Insert(setup, "k", "old").ok());
+    ASSERT_TRUE(db->Commit(setup).ok());
+
+    Transaction* txn = db->Begin();
+    std::string v;
+    ASSERT_TRUE(tree->Get(txn, "k", &v).ok());
+    Lsn ckpt_begin = kInvalidLsn;
+    ASSERT_TRUE(db->Checkpoint(&ckpt_begin).ok());
+    ASSERT_TRUE(tree->Update(txn, "k", "new").ok());
+    EXPECT_GT(txn->first_lsn, ckpt_begin);
+    if (commit) {
+      ASSERT_TRUE(db->Commit(txn).ok());
+    } else {
+      ASSERT_TRUE(db->context()->wal->FlushAll().ok());
+    }
+    env_.Crash();
+    harness::AbandonCrashed(std::move(db));
+  }
+
+  void ReopenAndExpect(const char* value, uint64_t losers) {
+    RecoveryStats stats;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(
+        Database::Open(DefaultOptions(), &env_, "db", &db, &stats).ok());
+    EXPECT_EQ(stats.loser_user_txns, losers);
+    EXPECT_EQ(stats.records_undone > 0, losers > 0);
+    PiTree* tree;
+    ASSERT_TRUE(db->GetIndex("t", &tree).ok());
+    Transaction* txn = db->Begin();
+    std::string v;
+    ASSERT_TRUE(tree->Get(txn, "k", &v).ok());
+    EXPECT_EQ(v, value);
+    ASSERT_TRUE(db->Commit(txn).ok());
+  }
+};
+
+TEST_F(ReadCheckpointUpdateTest, LoserBegunAfterCheckpointIsUndone) {
+  RunAndCrash(/*commit=*/false);
+  ReopenAndExpect("old", 1);
+}
+
+TEST_F(ReadCheckpointUpdateTest, WinnerBegunAfterCheckpointSurvives) {
+  RunAndCrash(/*commit=*/true);
+  ReopenAndExpect("new", 0);
+}
+
+// Read-only transactions never log, so a crash while 100 of them hold S
+// locks leaves nothing to undo, and no checkpoint lists them.
+TEST_F(RecoveryTest, ReadOnlyTransactionsLiveAtCrashAreNotLosers) {
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(DefaultOptions(), &env_, "db", &db).ok());
+    PiTree* tree;
+    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+    Transaction* setup = db->Begin();
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(tree->Insert(setup, Key(i), "v").ok());
+    }
+    ASSERT_TRUE(db->Commit(setup).ok());
+
+    std::vector<Transaction*> readers;
+    for (int i = 0; i < 100; ++i) {
+      Transaction* txn = db->Begin();
+      std::string v;
+      ASSERT_TRUE(tree->Get(txn, Key(i % 10), &v).ok());
+      EXPECT_FALSE(txn->held_locks.empty());
+      readers.push_back(txn);
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_TRUE(db->context()->txns->SnapshotAtt().empty());
+    ASSERT_TRUE(db->context()->wal->FlushAll().ok());
+    env_.Crash();
+    // Ending a read-only transaction appends nothing, so these commits
+    // after the crash change no byte of the log.
+    const Lsn end = db->context()->wal->next_lsn();
+    for (Transaction* txn : readers) ASSERT_TRUE(db->Commit(txn).ok());
+    EXPECT_EQ(db->context()->wal->next_lsn(), end);
+    harness::AbandonCrashed(std::move(db));
+  }
+  RecoveryStats stats;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(DefaultOptions(), &env_, "db", &db, &stats).ok());
+  EXPECT_EQ(stats.loser_user_txns, 0u);
+  EXPECT_EQ(stats.records_undone, 0u);
+}
+
+// A read-only transaction is owned by its caller until it ends; Abort and
+// Commit must both free it (the sanitizer build's leak check fails the test
+// otherwise) and leave the transaction table empty.
+TEST_F(RecoveryTest, ReadOnlyTransactionsAreFreedByAbortAndCommit) {
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(DefaultOptions(), &env_, "db", &db).ok());
+  PiTree* tree;
+  ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+  Transaction* setup = db->Begin();
+  ASSERT_TRUE(tree->Insert(setup, "k", "v").ok());
+  ASSERT_TRUE(db->Commit(setup).ok());
+
+  const Lsn end = db->context()->wal->next_lsn();
+  std::string v;
+  Transaction* aborted = db->Begin();
+  ASSERT_TRUE(tree->Get(aborted, "k", &v).ok());
+  ASSERT_TRUE(db->Abort(aborted).ok());
+  Transaction* committed = db->Begin();
+  ASSERT_TRUE(tree->Get(committed, "k", &v).ok());
+  ASSERT_TRUE(db->Commit(committed).ok());
+  EXPECT_EQ(db->context()->wal->next_lsn(), end);
+  EXPECT_TRUE(db->context()->txns->SnapshotAtt().empty());
 }
 
 TEST_F(RecoveryTest, EvictionsDuringWorkloadStillRecoverExactly) {
@@ -346,7 +469,7 @@ TEST_F(RecoveryTest, EvictionsDuringWorkloadStillRecoverExactly) {
       model[Key(i)] = value;
     }
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
@@ -387,7 +510,7 @@ TEST_F(RecoveryTest, CheckpointShortensAnalysis) {
     }
     full_log_end = db->context()->wal->next_lsn();
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   RecoveryStats stats;
   std::unique_ptr<Database> db;
@@ -420,7 +543,7 @@ TEST_F(RecoveryTest, DoubleCrashDuringRecoveryIsIdempotent) {
     }
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   for (int round = 0; round < 3; ++round) {
     std::unique_ptr<Database> db;
@@ -436,7 +559,7 @@ TEST_F(RecoveryTest, DoubleCrashDuringRecoveryIsIdempotent) {
     // Flush the recovery's own log work, then crash again.
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
 }
 
@@ -459,7 +582,7 @@ TEST_F(RecoveryTest, AtomicActionLoserCountsAreReported) {
       ASSERT_TRUE(db->Commit(txn).ok());
     }
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   RecoveryStats stats;
   std::unique_ptr<Database> db;
@@ -497,7 +620,7 @@ TEST_F(RecoveryTest, LazyRedoIsIdempotentAndMatchesOffline) {
     ASSERT_TRUE(tree->Insert(loser, "loser-key", value).ok());
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
 
   // Clone the crash image so the offline and instant recoveries each work
@@ -648,7 +771,7 @@ TEST_F(RecoveryTest, CheckpointRecLsnSurvivesInWindowUpdate) {
     ASSERT_TRUE(
         env_.WriteFileAtomic("db.master", EncodeMasterRecord(begin_lsn)).ok());
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   RecoveryStats stats;
   std::unique_ptr<Database> db;
@@ -690,7 +813,7 @@ TEST_F(RecoveryTest, SweeperBacksOffOnPersistentReadFaults) {
       ASSERT_TRUE(db->Commit(txn).ok());
     }
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   Options iopts = opts;
   iopts.instant_restore = true;
@@ -741,7 +864,7 @@ TEST_F(RecoveryTest, ShutdownCutsTheRecoverySweepersPacingShort) {
       ASSERT_TRUE(db->Commit(txn).ok());
     }
     env_.Crash();
-    db.release();
+    harness::AbandonCrashed(std::move(db));
   }
   Options iopts = opts;
   iopts.instant_restore = true;
