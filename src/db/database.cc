@@ -86,7 +86,7 @@ Status Database::Init(const Options& options, Env* env,
   maintenance_ = std::make_unique<MaintenanceService>(options);
   ctx_.maintenance = maintenance_.get();
   maintenance_->set_executor([this](const CompletionJob& job) {
-    return TreeAt(job.tree_root)->ExecuteJob(job);
+    return JobTree(job.tree_root)->ExecuteJob(job);
   });
   maintenance_->RegisterSweepTask("consolidation-scan",
                                   [this] { SweepConsolidationTask(); });
@@ -205,6 +205,16 @@ PiTree* Database::TreeAt(PageId root) {
     it = trees_.emplace(root, std::make_unique<PiTree>(&ctx_, root)).first;
   }
   return it->second.get();
+}
+
+SmoTree* Database::JobTree(PageId root) {
+  {
+    // A TSB tree's jobs come only from its open instance, which lives here.
+    MutexLock lk(&trees_mu_);
+    auto it = tsb_trees_.find(root);
+    if (it != tsb_trees_.end()) return it->second.get();
+  }
+  return TreeAt(root);
 }
 
 TsbTree* Database::TsbAt(PageId root) {

@@ -141,6 +141,9 @@ class Database {
               RecoveryStats* stats);
   PiTree* TreeAt(PageId root);
   TsbTree* TsbAt(PageId root);
+  /// The open tree a completion job for `root` runs on: a TSB index's, else
+  /// the Π-tree's.
+  SmoTree* JobTree(PageId root);
   Status LookupCatalog(const std::string& name, PageId* root, uint8_t* type);
   /// All open Π-trees (catalog included) — the sweep tasks' working set.
   std::vector<PiTree*> SnapshotTrees();

@@ -1,21 +1,16 @@
-// lint:allow-naked-latch -- splits X-latch fresh nodes and the promoted
-// source, posting U-couples root to leaf, scans S-latch one node at a time;
-// descents run through the pitree/descent.h kernel.
+// lint:allow-naked-latch -- splits X-latch fresh nodes, scans S-latch one
+// node at a time; descents run through the pitree/descent.h kernel,
+// structure changes through pitree/smo.h.
 #include "common/thread_annotations.h"
 #include "mdtree/md_tree.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <sstream>
 
 #include "common/coding.h"
 #include "engine/log_apply.h"
-#include "engine/page_alloc.h"
-#include "recovery/recovery_manager.h"
 #include "txn/lock_manager.h"
-#include "txn/txn_manager.h"
-#include "wal/wal_manager.h"
 
 namespace pitree {
 
@@ -47,7 +42,8 @@ uint64_t Area(const MdRect& r) {
 // following the rightmost separator at or below the key: posted terms for
 // finer delegations take precedence over stale coarse ones (§3.1:
 // "approximately contained" space shrinks as postings arrive).
-PageId FindChildForPoint(const NodeRef& node, uint32_t x, uint32_t y) {
+PageId FindChildForPoint(const NodeRef& node, uint32_t x, uint32_t y,
+                         MdRect* best_rect = nullptr) {
   PageId best = kInvalidPageId;
   uint64_t best_area = ~uint64_t{0};
   for (int i = 0; i < node.entry_count(); ++i) {
@@ -64,6 +60,7 @@ PageId FindChildForPoint(const NodeRef& node, uint32_t x, uint32_t y) {
     if (area < best_area) {
       best_area = area;
       best = t.child;
+      if (best_rect != nullptr) *best_rect = r;
     }
   }
   return best;
@@ -113,35 +110,22 @@ bool MdTree::DecodeRect(const Slice& in, MdRect* r) {
          GetFixed32(&s, &r->x_hi) && GetFixed32(&s, &r->y_hi);
 }
 
-MdTree::MdTree(EngineContext* ctx, PageId root) : ctx_(ctx), root_(root) {}
+MdTree::MdTree(EngineContext* ctx, PageId root) : SmoTree(ctx, root) {
+  Configure({.root_terms = &MdPolicy::RootTerms,
+             .inline_jobs = true,
+             .side_traversals = &stats_.side_traversals,
+             .splits = &stats_.splits,
+             .root_grows = &stats_.root_grows,
+             .posts_performed = &stats_.posts_performed,
+             .posts_obsolete = &stats_.posts_obsolete});
+}
 
-// lint:tsa-escape -- bootstrap/recovery latches pages across helper
-// calls and error paths; checked by the runtime checker and
-// tools/analyze.
-Status MdTree::Create(EngineContext* ctx, PageId root)
-    NO_THREAD_SAFETY_ANALYSIS {
-  Transaction* action = ctx->txns->Begin(/*is_system=*/true);
-  PageHandle h;
-  Status s = ctx->pool->FetchPageZeroed(root, &h);
-  if (!s.ok()) {
-    (void)ctx->txns->Abort(action);  // first error wins
-    return s;
-  }
-  h.latch().AcquireX();
-  PageInitHeader(h.data(), root, PageType::kTreeNode);
+Status MdTree::Create(EngineContext* ctx, PageId root) {
   // The whole-space rectangle lives in the low-boundary field.
-  s = LogAndApply(ctx, action, h, PageOp::kNodeFormat,
-                  NodeRef::FormatPayload(0, kNodeFlagRoot, kBoundHighPosInf,
-                                         EncodeRect(MdRect()), Slice(),
-                                         kInvalidPageId),
-                  PageOp::kNone, "");
-  h.latch().ReleaseX();
-  h.Reset();
-  if (!s.ok()) {
-    (void)ctx->txns->Abort(action);  // first error wins
-    return s;
-  }
-  return ctx->txns->Commit(action);
+  return FormatRoot(ctx, root,
+                    NodeRef::FormatPayload(0, kNodeFlagRoot, kBoundHighPosInf,
+                                           EncodeRect(MdRect()), Slice(),
+                                           kInvalidPageId));
 }
 
 Status MdTree::NodeRect(const NodeRef& node, MdRect* rect) {
@@ -164,7 +148,6 @@ std::vector<MdTree::SiblingTerm> MdTree::SiblingTerms(const NodeRef& node) {
     if (!DecodeRect(rect_bytes, &term.rect)) continue;
     Slice v = node.EntryValue(i);
     if (v.size() >= 4) term.page = DecodeFixed32(v.data());
-    term.entry_key = key.ToString();
     out.push_back(std::move(term));
   }
   return out;
@@ -213,17 +196,68 @@ Step MdPolicy::Route(const NodeRef& node, uint8_t target_level) const {
   return Step::Child(child);
 }
 
-Status MdTree::Descend(uint32_t x, uint32_t y, LatchMode mode,
-                       std::vector<SideHop>* hops, PageHandle* leaf) const {
-  Descent d;
-  d.target_mode = mode;
-  d.counters.side = &stats_.side_traversals;
-  Status s = LatchedDescend(ctx_->pool, root_, MdPolicy{x, y}, &d);
-  if (hops != nullptr) {
-    hops->insert(hops->end(), d.side_hops.begin(), d.side_hops.end());
+bool MdPolicy::PostingTerm(const NodeRef& parent, const NodeRef& child,
+                           PageId sibling, NodeEntry* term) const {
+  MdRect child_rect, parent_rect, through;
+  MdTree::SiblingTerm via;
+  if (!MdTree::NodeRect(child, &child_rect).ok() ||
+      !MdTree::NodeRect(parent, &parent_rect).ok() ||
+      MdTree::DirectlyContainsPoint(child, child_rect, x, y, &via) ||
+      via.page != sibling ||
+      FindChildForPoint(parent, x, y, &through) == kInvalidPageId) {
+    return false;
   }
-  *leaf = std::move(d.node);
-  return s;
+  // Clipped to the term the search came through, the posted term is never
+  // larger than it, so the smallest-area rule prefers the new term from now
+  // on; equal to it, the old term was wholly delegated and is replaced.
+  MdRect posted = Intersect(via.rect, through);
+  if (Empty(posted)) return false;
+  const bool multi_parent = !parent_rect.ContainsRect(via.rect);
+  term->key = std::string(1, kPrefixIndex) + MdTree::EncodeRect(posted);
+  term->value =
+      EncodeIndexTerm(sibling, multi_parent ? kIndexEntryMultiParent : 0);
+  return true;
+}
+
+void MdPolicy::RootTerms(const NodeRef& left, PageId left_id, PageId right,
+                         NodeEntry terms[2]) {
+  // The left child is responsible for the whole rectangle; its term
+  // describes the half it still directly contains (§2.1.3 condition 3
+  // allows a child to be responsible for more than its term says).
+  MdRect rect, right_rect;
+  MdTree::NodeRect(left, &rect).ok();
+  for (const auto& term : MdTree::SiblingTerms(left)) {
+    if (term.page == right) right_rect = term.rect;
+  }
+  MdRect left_part = rect;
+  if (right_rect.x_lo > rect.x_lo) {
+    left_part.x_hi = right_rect.x_lo;
+  } else {
+    left_part.y_hi = right_rect.y_lo;
+  }
+  terms[0] = {std::string(1, kPrefixIndex) + MdTree::EncodeRect(left_part),
+              EncodeIndexTerm(left_id)};
+  terms[1] = {std::string(1, kPrefixIndex) + MdTree::EncodeRect(right_rect),
+              EncodeIndexTerm(right)};
+}
+
+Status MdTree::Search(OpCtx* op, const CompletionJob& job, Descent* d) {
+  uint32_t x, y;
+  if (!DecodePointKey(job.key, &x, &y)) {
+    return Status::InvalidArgument("md: posting key is not a point");
+  }
+  d->target_level = job.level;
+  d->target_mode = LatchMode::kUpdate;
+  return Traverse(op, MdPolicy{x, y}, job.key, d);
+}
+
+Status MdTree::ExecuteJob(const CompletionJob& job) {
+  uint32_t x, y;
+  if (job.kind != CompletionJob::Kind::kPostIndexTerm ||
+      !DecodePointKey(job.key, &x, &y)) {
+    return Status::InvalidArgument("md: unsupported job");
+  }
+  return PostIndexTerm(MdPolicy{x, y}, job);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,8 +266,8 @@ Status MdTree::Descend(uint32_t x, uint32_t y, LatchMode mode,
 
 // lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
 // error paths; checked by the runtime checker and tools/analyze.
-Status MdTree::SplitNode(Transaction* action, PageHandle& h, PageId* sibling,
-                         MdRect* sibling_rect) NO_THREAD_SAFETY_ANALYSIS {
+Status MdTree::SplitNode(Transaction* action, PageHandle& h, PageId* sibling)
+    NO_THREAD_SAFETY_ANALYSIS {
   NodeRef node(h.data());
   MdRect rect;
   PITREE_RETURN_IF_ERROR(NodeRect(node, &rect));
@@ -256,39 +290,41 @@ Status MdTree::SplitNode(Transaction* action, PageHandle& h, PageId* sibling,
   }
 
   // Choose the split: the longer axis of the rectangle, cut at the median
-  // coordinate of the content (kd-style).
-  bool split_x = (rect.x_hi - rect.x_lo) >= (rect.y_hi - rect.y_lo);
-  std::vector<uint32_t> coords;
-  auto push_coord = [&](const NodeEntry& e) {
-    if (e.key[0] == kPrefixPoint) {
+  // coordinate of the content (kd-style). Content bunched at the low edge
+  // of that axis (one coordinate shared by most points) leaves no cut
+  // there: cut the other axis at its content median instead.
+  auto median = [&](bool x_axis) {
+    std::vector<uint32_t> coords;
+    for (const auto& e : points) {
       uint32_t x, y;
-      if (DecodePointKey(e.key, &x, &y)) coords.push_back(split_x ? x : y);
-    } else if (e.key[0] == kPrefixIndex) {
+      if (DecodePointKey(e.key, &x, &y)) coords.push_back(x_axis ? x : y);
+    }
+    for (const auto& e : index_terms) {
       MdRect r;
       if (DecodeRect(Slice(e.key.data() + 1, e.key.size() - 1), &r)) {
         // Use rectangle centers: the simplest balanced cut. It routinely
         // straddles child rectangles — which is exactly when the paper
         // says to clip the term into both parents (§3.2.2) rather than
         // construct a complex edge-following partition.
-        coords.push_back(split_x ? r.x_lo / 2 + r.x_hi / 2
-                                 : r.y_lo / 2 + r.y_hi / 2);
+        coords.push_back(x_axis ? r.x_lo / 2 + r.x_hi / 2
+                                : r.y_lo / 2 + r.y_hi / 2);
       }
     }
+    if (coords.empty()) return uint32_t{0};
+    std::nth_element(coords.begin(), coords.begin() + coords.size() / 2,
+                     coords.end());
+    return coords[coords.size() / 2];
   };
-  for (const auto& e : points) push_coord(e);
-  for (const auto& e : index_terms) push_coord(e);
-  if (coords.empty()) return Status::NoSpace("md: nothing to split");
-  std::sort(coords.begin(), coords.end());
-  uint32_t cut = coords[coords.size() / 2];
-  uint32_t lo = split_x ? rect.x_lo : rect.y_lo;
-  uint32_t hi = split_x ? rect.x_hi : rect.y_hi;
-  if (cut <= lo || cut >= hi) {
-    // Degenerate along this axis; try the midpoint of the other axis.
+  auto inside = [&](bool x_axis, uint32_t c) {
+    return x_axis ? c > rect.x_lo && c < rect.x_hi
+                  : c > rect.y_lo && c < rect.y_hi;
+  };
+  bool split_x = (rect.x_hi - rect.x_lo) >= (rect.y_hi - rect.y_lo);
+  uint32_t cut = median(split_x);
+  if (!inside(split_x, cut)) {
     split_x = !split_x;
-    lo = split_x ? rect.x_lo : rect.y_lo;
-    hi = split_x ? rect.x_hi : rect.y_hi;
-    cut = lo + (hi - lo) / 2;
-    if (cut <= lo || cut >= hi) return Status::NoSpace("md: unsplittable");
+    cut = median(split_x);
+    if (!inside(split_x, cut)) return Status::NoSpace("md: unsplittable");
   }
   MdRect left = rect, right = rect;
   if (split_x) {
@@ -345,327 +381,32 @@ Status MdTree::SplitNode(Transaction* action, PageHandle& h, PageId* sibling,
   if (move.empty()) return Status::NoSpace("md: degenerate split");
 
   std::string image = node.ImagePayload();
-
-  PageId bpid;
-  PITREE_RETURN_IF_ERROR(EngineAllocPage(ctx_, action, &bpid));
-  PageHandle bh;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPageZeroed(bpid, &bh));
-  bh.latch().AcquireX();
-  PageInitHeader(bh.data(), bpid, PageType::kTreeNode);
   std::sort(move.begin(), move.end(),
             [](const NodeEntry& a, const NodeEntry& b) { return a.key < b.key; });
-  Status s = LogAndApply(ctx_, action, bh, PageOp::kNodeFormat,
-                         NodeRef::FormatPayload(node.level(), 0,
-                                                kBoundHighPosInf,
-                                                EncodeRect(right), Slice(),
-                                                kInvalidPageId),
-                         PageOp::kNone, "");
-  if (s.ok()) {
-    s = LogAndApply(ctx_, action, bh, PageOp::kNodeBulkLoad,
-                    NodeRef::BulkLoadPayload(move), PageOp::kNone, "");
-  }
+  PageHandle bh;
+  PITREE_RETURN_IF_ERROR(NewNode(
+      action,
+      NodeRef::FormatPayload(node.level(), 0, kBoundHighPosInf,
+                             EncodeRect(right), Slice(), kInvalidPageId),
+      move, &bh));
   bh.latch().ReleaseX();
-  bh.Reset();
-  // Source: remove delegated content, install replacement clipped copies
+  // Source: remove the delegated content, then install the clipped copies
   // and the sibling term for the new node. (The node's responsibility
   // rectangle does NOT shrink — it has merely delegated the right half.)
-  if (s.ok() && !erase_from_source.empty()) {
-    s = LogAndApply(ctx_, action, h, PageOp::kNodeBulkErase,
-                    NodeRef::BulkErasePayload(erase_from_source),
-                    PageOp::kNodeUnsplit, image);
+  std::string sib_value;
+  PutFixed32(&sib_value, bh.id());
+  keep.push_back(
+      {std::string(1, kPrefixSibling) + EncodeRect(right), sib_value});
+  if (!erase_from_source.empty()) {
+    PITREE_RETURN_IF_ERROR(LogAndApply(
+        ctx_, action, h, PageOp::kNodeBulkErase,
+        NodeRef::BulkErasePayload(erase_from_source), PageOp::kNodeUnsplit,
+        image));
   }
-  if (s.ok() && !keep.empty()) {
-    s = LogAndApply(ctx_, action, h, PageOp::kNodeBulkLoad,
-                    NodeRef::BulkLoadPayload(keep), PageOp::kNodeUnsplit,
-                    image);
-  }
-  if (s.ok()) {
-    std::string sib_value;
-    PutFixed32(&sib_value, bpid);
-    s = LogAndApply(
-        ctx_, action, h, PageOp::kNodeInsert,
-        NodeRef::InsertPayload(std::string(1, kPrefixSibling) +
-                                   EncodeRect(right),
-                               sib_value),
-        PageOp::kNodeUnsplit, image);
-  }
-  if (!s.ok()) return s;
-  *sibling = bpid;
-  *sibling_rect = right;
-  stats_.splits.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
-// error paths; checked by the runtime checker and tools/analyze.
-Status MdTree::GrowRoot(Transaction* action, PageHandle& root_h)
-    NO_THREAD_SAFETY_ANALYSIS {
-  // Split the root's content into two children, then reformat the root one
-  // level up with two index terms. Reuses SplitNode's partitioning by
-  // first moving everything into a fresh "left" child, then splitting it.
-  NodeRef root(root_h.data());
-  MdRect rect;
-  PITREE_RETURN_IF_ERROR(NodeRect(root, &rect));
-  std::vector<NodeEntry> all = root.AllEntries();
-  std::string image = root.ImagePayload();
-  uint8_t old_level = root.level();
-
-  PageId lpid;
-  PITREE_RETURN_IF_ERROR(EngineAllocPage(ctx_, action, &lpid));
-  PageHandle lh;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPageZeroed(lpid, &lh));
-  lh.latch().AcquireX();
-  PageInitHeader(lh.data(), lpid, PageType::kTreeNode);
-  Status s = LogAndApply(ctx_, action, lh, PageOp::kNodeFormat,
-                         NodeRef::FormatPayload(old_level, 0,
-                                                kBoundHighPosInf,
-                                                EncodeRect(rect), Slice(),
-                                                kInvalidPageId),
-                         PageOp::kNone, "");
-  if (s.ok()) {
-    s = LogAndApply(ctx_, action, lh, PageOp::kNodeBulkLoad,
-                    NodeRef::BulkLoadPayload(all), PageOp::kNone, "");
-  }
-  PageId rpid = kInvalidPageId;
-  MdRect rrect;
-  if (s.ok()) {
-    // Root grow runs as an atomic action with the root X-latched;
-    // SplitNode allocates and formats the right child (pool misses ->
-    // disk I/O) under that latch by design.
-    // analyze:allow-latch-io -- atomic-action split under root X latch
-    s = SplitNode(action, lh, &rpid, &rrect);
-  }
-  MdRect lrect = rect;  // left child keeps the full responsibility rect
-  if (s.ok()) {
-    // Root: becomes an index node with terms for both children. The left
-    // child's directly contained space is rect minus rrect; its index term
-    // describes the left part (the child is responsible for more, which is
-    // legal — §2.1.3 condition 3).
-    MdRect left_part = rect;
-    if (rrect.x_lo > rect.x_lo && rrect.x_lo < rect.x_hi &&
-        rrect.y_lo == rect.y_lo && rrect.y_hi == rect.y_hi) {
-      left_part.x_hi = rrect.x_lo;
-    } else if (rrect.y_lo > rect.y_lo) {
-      left_part.y_hi = rrect.y_lo;
-    }
-    s = LogAndApply(ctx_, action, root_h, PageOp::kNodeFormat,
-                    NodeRef::FormatPayload(old_level + 1, kNodeFlagRoot,
-                                           kBoundHighPosInf,
-                                           EncodeRect(rect), Slice(),
-                                           kInvalidPageId),
-                    PageOp::kNodeUnsplit, image);
-    if (s.ok()) {
-      s = LogAndApply(ctx_, action, root_h, PageOp::kNodeInsert,
-                      NodeRef::InsertPayload(
-                          std::string(1, kPrefixIndex) + EncodeRect(left_part),
-                          EncodeIndexTerm(lpid)),
-                      PageOp::kNone, "");
-    }
-    if (s.ok()) {
-      s = LogAndApply(ctx_, action, root_h, PageOp::kNodeInsert,
-                      NodeRef::InsertPayload(
-                          std::string(1, kPrefixIndex) + EncodeRect(rrect),
-                          EncodeIndexTerm(rpid)),
-                      PageOp::kNone, "");
-    }
-    (void)lrect;
-  }
-  lh.latch().ReleaseX();
-  if (s.ok()) stats_.root_grows.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
-// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
-// error paths; checked by the runtime checker and tools/analyze.
-Status MdTree::SplitLeafAndRestart(PageHandle* leaf) NO_THREAD_SAFETY_ANALYSIS {
-  Transaction* action = ctx_->txns->Begin(/*is_system=*/true);
-  leaf->latch().PromoteUToX();
-  std::map<PageId, PageHandle*> pages;
-  pages[leaf->id()] = leaf;
-  NodeRef node(leaf->data());
-  Status s;
-  PageId sibling = kInvalidPageId;
-  MdRect sib_rect;
-  if (node.is_root()) {
-    s = GrowRoot(action, *leaf);
-  } else {
-    s = SplitNode(action, *leaf, &sibling, &sib_rect);
-  }
-  if (!s.ok()) {
-    if (action->last_lsn != kInvalidLsn) {
-      LogActionAbort(ctx_, action);
-      (void)ctx_->recovery->RollbackTxnWithPages(action, pages);
-      LogActionEnd(ctx_, action);
-    }
-    ctx_->locks->ReleaseAll(action);
-    ctx_->txns->Discard(action);
-    leaf->latch().ReleaseX();
-    leaf->Reset();
-    return s;
-  }
-  leaf->latch().ReleaseX();
-  leaf->Reset();
-  return ctx_->txns->Commit(action);
-}
-
-// ---------------------------------------------------------------------------
-// Posting (completion, §5.3 adapted to rectangles)
-// ---------------------------------------------------------------------------
-
-// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
-// error paths; checked by the runtime checker and tools/analyze.
-Status MdTree::PostIndexTerm(uint32_t x, uint32_t y) NO_THREAD_SAFETY_ANALYSIS {
-  // Walk from the root toward the leaves; at each index level, if the
-  // search path for (x, y) crosses a side pointer at the child level,
-  // install the missing index term (one parent per action — other parents
-  // of a clipped node are completed by their own traversals).
-  for (int guard = 0; guard < 64; ++guard) {
-    PageHandle cur;
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
-    cur.latch().AcquireU();
-    NodeRef node(cur.data());
-    if (node.is_leaf()) {
-      cur.latch().ReleaseU();
-      return Status::OK();
-    }
-    // Descend U-latched level by level, fixing the first gap found.
-    bool fixed_or_done = false;
-    while (!fixed_or_done) {
-      NodeRef n(cur.data());
-      // Find the most specific child term covering the point.
-      PageId child = FindChildForPoint(n, x, y);
-      if (child == kInvalidPageId) {
-        // The point lies in one of OUR siblings' space; this parent is not
-        // on the search path — nothing to post here.
-        cur.latch().ReleaseU();
-        stats_.posts_obsolete.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      }
-      PageHandle ch;
-      PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(child, &ch));
-      ch.latch().AcquireS();
-      NodeRef cnode(ch.data());
-      MdRect crect;
-      Status rs = NodeRect(cnode, &crect);
-      if (!rs.ok()) {
-        ch.latch().ReleaseS();
-        cur.latch().ReleaseU();
-        return rs;
-      }
-      SiblingTerm via;
-      if (DirectlyContainsPoint(cnode, crect, x, y, &via)) {
-        // No gap at this level; descend (release parent, child becomes the
-        // new U-latched node if it is an index node).
-        if (cnode.is_leaf()) {
-          ch.latch().ReleaseS();
-          cur.latch().ReleaseU();
-          return Status::OK();  // path complete
-        }
-        ch.latch().ReleaseS();
-        PageHandle down;
-        PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(child, &down));
-        down.latch().AcquireU();
-        cur.latch().ReleaseU();
-        cur = std::move(down);
-        continue;
-      }
-      if (via.page == kInvalidPageId) {
-        ch.latch().ReleaseS();
-        cur.latch().ReleaseU();
-        return Status::Corruption("md: gap without sibling during posting");
-      }
-      // Found the missing term: post (via.rect clipped to our rect) -> page.
-      MdRect my_rect;
-      rs = NodeRect(n, &my_rect);
-      if (!rs.ok()) {
-        ch.latch().ReleaseS();
-        cur.latch().ReleaseU();
-        return rs;
-      }
-      MdRect posted = Intersect(via.rect, my_rect);
-      bool multi_parent = !(my_rect.ContainsRect(via.rect));
-      ch.latch().ReleaseS();
-      ch.Reset();
-      if (Empty(posted)) {
-        cur.latch().ReleaseU();
-        stats_.posts_obsolete.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      }
-
-      Transaction* action = ctx_->txns->Begin(/*is_system=*/true);
-      cur.latch().PromoteUToX();
-      std::map<PageId, PageHandle*> pages;
-      pages[cur.id()] = &cur;
-      NodeRef n2(cur.data());
-      std::string term_key =
-          std::string(1, kPrefixIndex) + EncodeRect(posted);
-      bool found;
-      n2.FindSlot(term_key, &found);
-      Status s;
-      if (found) {
-        stats_.posts_obsolete.fetch_add(1, std::memory_order_relaxed);
-        s = Status::OK();
-      } else if (!n2.CanFit(term_key.size(), 5) ||
-                 n2.entry_count() >= max_index_fanout_) {
-        // Space test: split this index node (or grow the root), then retry
-        // the whole posting from the top.
-        PageId sib;
-        MdRect sib_rect;
-        s = n2.is_root() ? GrowRoot(action, cur)
-                         : SplitNode(action, cur, &sib, &sib_rect);
-        if (s.ok()) {
-          cur.latch().ReleaseX();
-          cur.Reset();
-          PITREE_RETURN_IF_ERROR(ctx_->txns->Commit(action));
-          break;  // restart from the root (outer guard loop)
-        }
-      } else {
-        s = LogAndApply(
-            ctx_, action, cur, PageOp::kNodeInsert,
-            NodeRef::InsertPayload(term_key,
-                                   EncodeIndexTerm(
-                                       via.page,
-                                       multi_parent ? kIndexEntryMultiParent
-                                                    : 0)),
-            PageOp::kNodeDelete, NodeRef::DeletePayload(term_key));
-        if (s.ok()) {
-          stats_.posts_performed.fetch_add(1, std::memory_order_relaxed);
-          if (multi_parent) {
-            stats_.clips.fetch_add(0, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (s.ok() && cur.valid()) {
-        cur.latch().ReleaseX();
-        cur.Reset();
-        PITREE_RETURN_IF_ERROR(ctx_->txns->Commit(action));
-        // Keep walking the same path for further gaps below.
-        break;  // restart from root via the outer loop
-      }
-      if (!s.ok()) {
-        if (action->last_lsn != kInvalidLsn) {
-          LogActionAbort(ctx_, action);
-          (void)ctx_->recovery->RollbackTxnWithPages(action, pages);
-          LogActionEnd(ctx_, action);
-        }
-        ctx_->locks->ReleaseAll(action);
-        ctx_->txns->Discard(action);
-        if (cur.valid()) {
-          cur.latch().ReleaseX();
-          cur.Reset();
-        }
-        return s;
-      }
-      fixed_or_done = true;
-    }
-    // Check whether the path is now complete; if not, loop and fix more.
-    std::vector<SideHop> hops;
-    PageHandle leaf;
-    Status s = Descend(x, y, LatchMode::kShared, &hops, &leaf);
-    if (!s.ok()) return s;
-    leaf.latch().ReleaseS();
-    if (hops.empty()) return Status::OK();
-  }
+  PITREE_RETURN_IF_ERROR(LogAndApply(ctx_, action, h, PageOp::kNodeBulkLoad,
+                                     NodeRef::BulkLoadPayload(keep),
+                                     PageOp::kNodeUnsplit, image));
+  *sibling = bh.id();
   return Status::OK();
 }
 
@@ -679,12 +420,13 @@ Status MdTree::PostIndexTerm(uint32_t x, uint32_t y) NO_THREAD_SAFETY_ANALYSIS {
 Status MdTree::Insert(Transaction* txn, uint32_t x, uint32_t y,
                       const Slice& value) NO_THREAD_SAFETY_ANALYSIS {
   std::string pkey = PointKey(x, y);
-  std::vector<SideHop> hops;
-  bool split = false;
+  OpCtx op;
+  op.txn = txn;
   Status result;
   for (;;) {
     PageHandle leaf;
-    PITREE_RETURN_IF_ERROR(Descend(x, y, LatchMode::kUpdate, &hops, &leaf));
+    PITREE_RETURN_IF_ERROR(
+        DescendTo(&op, MdPolicy{x, y}, pkey, LatchMode::kUpdate, &leaf));
     std::string rname = RecordLockName(root_, pkey);
     Status s = ctx_->locks->Lock(txn, rname, LockMode::kX, /*wait=*/false);
     if (s.IsBusy()) {
@@ -704,11 +446,8 @@ Status MdTree::Insert(Transaction* txn, uint32_t x, uint32_t y,
       break;
     }
     if (!node.CanFit(pkey.size(), value.size())) {
-      s = SplitLeafAndRestart(&leaf);
+      s = SplitForInsert(&op, &leaf, pkey);
       if (!s.ok()) return s;
-      // §3.2.1 step 6: schedule the posting of the new sibling's index
-      // term (a separate atomic action, run after this operation).
-      split = true;
       continue;
     }
     leaf.latch().PromoteUToX();
@@ -719,7 +458,7 @@ Status MdTree::Insert(Transaction* txn, uint32_t x, uint32_t y,
     result = s;
     break;
   }
-  if (split || !hops.empty()) (void)PostIndexTerm(x, y);
+  FlushPending(&op);
   return result;
 }
 
@@ -729,9 +468,11 @@ Status MdTree::Insert(Transaction* txn, uint32_t x, uint32_t y,
 Status MdTree::Get(Transaction* txn, uint32_t x, uint32_t y,
                    std::string* value) NO_THREAD_SAFETY_ANALYSIS {
   std::string pkey = PointKey(x, y);
-  std::vector<SideHop> hops;
+  OpCtx op;
+  op.txn = txn;
   PageHandle leaf;
-  PITREE_RETURN_IF_ERROR(Descend(x, y, LatchMode::kShared, &hops, &leaf));
+  PITREE_RETURN_IF_ERROR(
+      DescendTo(&op, MdPolicy{x, y}, pkey, LatchMode::kShared, &leaf));
   std::string rname = RecordLockName(root_, pkey);
   Status s = ctx_->locks->Lock(txn, rname, LockMode::kS, /*wait=*/false);
   if (s.IsBusy()) {
@@ -739,7 +480,8 @@ Status MdTree::Get(Transaction* txn, uint32_t x, uint32_t y,
     leaf.Reset();
     PITREE_RETURN_IF_ERROR(
         ctx_->locks->Lock(txn, rname, LockMode::kS, /*wait=*/true));
-    PITREE_RETURN_IF_ERROR(Descend(x, y, LatchMode::kShared, &hops, &leaf));
+    PITREE_RETURN_IF_ERROR(
+        DescendTo(&op, MdPolicy{x, y}, pkey, LatchMode::kShared, &leaf));
   } else if (!s.ok()) {
     leaf.latch().ReleaseS();
     return s;
@@ -756,7 +498,7 @@ Status MdTree::Get(Transaction* txn, uint32_t x, uint32_t y,
   }
   leaf.latch().ReleaseS();
   leaf.Reset();
-  if (!hops.empty()) (void)PostIndexTerm(x, y);
+  FlushPending(&op);
   return result;
 }
 
@@ -766,11 +508,13 @@ Status MdTree::Get(Transaction* txn, uint32_t x, uint32_t y,
 Status MdTree::Delete(Transaction* txn, uint32_t x, uint32_t y)
     NO_THREAD_SAFETY_ANALYSIS {
   std::string pkey = PointKey(x, y);
-  std::vector<SideHop> hops;
+  OpCtx op;
+  op.txn = txn;
   Status result;
   for (;;) {
     PageHandle leaf;
-    PITREE_RETURN_IF_ERROR(Descend(x, y, LatchMode::kUpdate, &hops, &leaf));
+    PITREE_RETURN_IF_ERROR(
+        DescendTo(&op, MdPolicy{x, y}, pkey, LatchMode::kUpdate, &leaf));
     std::string rname = RecordLockName(root_, pkey);
     Status s = ctx_->locks->Lock(txn, rname, LockMode::kX, /*wait=*/false);
     if (s.IsBusy()) {
@@ -798,7 +542,7 @@ Status MdTree::Delete(Transaction* txn, uint32_t x, uint32_t y)
     result = s;
     break;
   }
-  if (!hops.empty()) (void)PostIndexTerm(x, y);
+  FlushPending(&op);
   return result;
 }
 
@@ -873,7 +617,8 @@ Status MdTree::CheckCoverage(
   int bad = 0;
   for (const auto& [x, y] : probes) {
     PageHandle leaf;
-    Status s = Descend(x, y, LatchMode::kShared, nullptr, &leaf);
+    Status s =
+        DescendTo(nullptr, MdPolicy{x, y}, "", LatchMode::kShared, &leaf);
     if (!s.ok()) {
       errors << "probe (" << x << "," << y << "): " << s.ToString() << "\n";
       ++bad;
@@ -886,49 +631,6 @@ Status MdTree::CheckCoverage(
     return Status::Corruption("md coverage violated");
   }
   if (report != nullptr) report->clear();
-  return Status::OK();
-}
-
-// lint:tsa-escape -- latch spans cross helper boundaries (the descent
-// acquires, this function releases); checked by the runtime checker and
-// tools/analyze.
-Status MdTree::HasMultiParentMarks(bool* found) const
-    NO_THREAD_SAFETY_ANALYSIS {
-  *found = false;
-  // Walk index AND sibling terms: a clipped copy may live in a node that is
-  // reachable only through a side pointer until its posting completes.
-  std::vector<PageId> frontier = {root_};
-  std::map<PageId, bool> visited;
-  while (!frontier.empty()) {
-    PageId pid = frontier.back();
-    frontier.pop_back();
-    if (visited[pid]) continue;
-    visited[pid] = true;
-    PageHandle h;
-    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(pid, &h));
-    h.latch().AcquireS();
-    NodeRef node(h.data());
-    for (int i = 0; i < node.entry_count(); ++i) {
-      Slice key = node.EntryKey(i);
-      if (key.empty()) continue;
-      if (key[0] == kPrefixIndex) {
-        IndexTerm t;
-        if (DecodeIndexTerm(node.EntryValue(i), &t)) {
-          if (t.flags & kIndexEntryMultiParent) *found = true;
-          if (!visited[t.child]) frontier.push_back(t.child);
-        }
-      } else if (key[0] == kPrefixSibling) {
-        Slice v = node.EntryValue(i);
-        if (v.size() >= 4) {
-          PageId sib = DecodeFixed32(v.data());
-          if (sib != kInvalidPageId && !visited[sib]) {
-            frontier.push_back(sib);
-          }
-        }
-      }
-    }
-    h.latch().ReleaseS();
-  }
   return Status::OK();
 }
 

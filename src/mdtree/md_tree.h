@@ -12,6 +12,7 @@
 #include "engine/engine_context.h"
 #include "pitree/descent.h"
 #include "pitree/node_page.h"
+#include "pitree/smo.h"
 #include "storage/buffer_pool.h"
 #include "txn/transaction.h"
 
@@ -43,7 +44,7 @@ struct MdPoint {
 struct MdStats {
   std::atomic<uint64_t> splits{0};
   std::atomic<uint64_t> root_grows{0};
-  std::atomic<uint64_t> clips{0};             // index terms placed in 2 parents
+  std::atomic<uint64_t> clips{0};             // terms clipped into 2 nodes
   std::atomic<uint64_t> side_traversals{0};
   std::atomic<uint64_t> posts_performed{0};
   std::atomic<uint64_t> posts_obsolete{0};
@@ -62,8 +63,11 @@ struct MdStats {
 ///    depicts (we replace its intra-node kd-tree encoding with explicit
 ///    rectangles; see DESIGN.md);
 ///  - index-term posting goes to ONE parent per atomic action (the one on
-///    the current search path); other parents are completed by later
-///    traversals that cross the side pointer.
+///    the current search path), clipped to the term the search came
+///    through; other parents are completed by later traversals that cross
+///    the side pointer. Splits, root grows and postings run through the
+///    kernel shared with the other trees (pitree/smo.h); the tree is not a
+///    catalog index, so its completion jobs always run inline.
 ///
 /// Storage mapping: points are 8-byte (x,y) keys in ordinary tree-node
 /// pages; sibling terms are reserved entries ("\x01S" · rect) holding the
@@ -76,7 +80,7 @@ struct MdStats {
 /// examples use single-operation transactions). Node consolidation is not
 /// implemented for this instance (CNS regime) — multi-parent marks are
 /// what consolidation would consult (§3.3), and tests verify they are set.
-class MdTree {
+class MdTree : public SmoTree {
  public:
   MdTree(EngineContext* ctx, PageId root);
   MdTree(const MdTree&) = delete;
@@ -103,17 +107,10 @@ class MdTree {
   /// index terms, and multi-parent marks.
   Status DumpStructure(std::string* out) const;
 
-  /// True if any index term anywhere carries the multi-parent mark.
-  Status HasMultiParentMarks(bool* found) const;
+  /// Executes a completing atomic action: an index-term posting (§5.3).
+  Status ExecuteJob(const CompletionJob& job) override;
 
-  PageId root() const { return root_; }
   const MdStats& stats() const { return stats_; }
-
-  /// Caps the number of entries an index node may hold before it splits
-  /// (default: page capacity). Small values force index-node splits — and
-  /// therefore clipping — on small trees; tests and the Figure 2 demo use
-  /// this to show multi-parent marks without building a huge tree.
-  void set_max_index_fanout(int n) { max_index_fanout_ = n; }
 
   // Encoding helpers (exposed for tests).
   static std::string PointKey(uint32_t x, uint32_t y);
@@ -128,7 +125,6 @@ class MdTree {
   struct SiblingTerm {
     MdRect rect;
     PageId page = kInvalidPageId;
-    std::string entry_key;  // the reserved in-node entry key
   };
 
   static Status NodeRect(const NodeRef& node, MdRect* rect);
@@ -137,28 +133,16 @@ class MdTree {
                                     uint32_t x, uint32_t y,
                                     SiblingTerm* via_sibling);
 
-  /// Descends to the data node directly containing (x, y), latched in
-  /// `mode`; crossed side pointers (possibly unposted splits) are appended
-  /// to `hops` when non-null.
-  Status Descend(uint32_t x, uint32_t y, LatchMode mode,
-                 std::vector<SideHop>* hops, PageHandle* leaf) const;
+  /// The posting action's Search step, for the point `job.key` encodes.
+  Status Search(OpCtx* op, const CompletionJob& job, Descent* d) override;
 
-  /// Splits the X-latched node (leaf or index) inside atomic action
-  /// `action`; emits the new sibling for posting via out-params.
-  Status SplitNode(Transaction* action, PageHandle& h, PageId* sibling,
-                   MdRect* sibling_rect);
+  /// The kd split of the X-latched node (leaf or index) inside `action`:
+  /// the longer axis is cut at the content's median, straddling terms are
+  /// clipped into both halves (§3.2.2), and the node gets a sibling term
+  /// for the new right node.
+  Status SplitNode(Transaction* action, PageHandle& h,
+                   PageId* sibling) override;
 
-  Status GrowRoot(Transaction* action, PageHandle& root_h);
-
-  /// Posting atomic action: installs the missing index term for whichever
-  /// sibling the search path for (x, y) crosses (§5.3 adapted to 2-D).
-  Status PostIndexTerm(uint32_t x, uint32_t y);
-
-  Status SplitLeafAndRestart(PageHandle* leaf);
-
-  EngineContext* const ctx_;
-  const PageId root_;
-  int max_index_fanout_ = 1 << 20;  // effectively unlimited
   mutable MdStats stats_;
 };
 
@@ -170,6 +154,18 @@ struct MdPolicy {
 
   bool Covers(const NodeRef& node) const;
   Step Route(const NodeRef& node, uint8_t target_level) const;
+
+  /// §5.3 posting (pitree/smo.h): `child` delegates the point through a
+  /// sibling term to `sibling`; the parent's term is that term's rectangle
+  /// clipped to the parent's term the point was routed through, marked
+  /// multi-parent when the delegated rectangle leaves the parent's.
+  bool PostingTerm(const NodeRef& parent, const NodeRef& child,
+                   PageId sibling, NodeEntry* term) const;
+
+  /// A grown root's index terms: the left child's remaining half and the
+  /// right sibling's rectangle.
+  static void RootTerms(const NodeRef& left, PageId left_id, PageId right,
+                        NodeEntry terms[2]);
 };
 
 }  // namespace pitree

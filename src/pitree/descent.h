@@ -109,6 +109,23 @@ struct BlinkPolicy {
     if (value != nullptr) *value = leaf.EntryValue(slot).ToString();
     return {Status::OK()};
   }
+
+  /// §5.3 posting (pitree/smo.h): once `child` delegates the key's space to
+  /// `sibling`, the parent needs the term (child's high key -> sibling).
+  bool PostingTerm(const NodeRef& /*parent*/, const NodeRef& child,
+                   PageId sibling, NodeEntry* term) const {
+    term->key = child.high_key().ToString();
+    term->value = EncodeIndexTerm(sibling);
+    return true;
+  }
+
+  /// A grown root's index terms: "" (the -inf separator) for the left
+  /// child, the split key for its right sibling.
+  static void RootTerms(const NodeRef& left, PageId left_id, PageId right,
+                        NodeEntry terms[2]) {
+    terms[0] = {std::string(), EncodeIndexTerm(left_id)};
+    terms[1] = {left.high_key().ToString(), EncodeIndexTerm(right)};
+  }
 };
 
 /// In/out state of a latched descent.

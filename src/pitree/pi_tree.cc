@@ -2,15 +2,10 @@
 #include "common/thread_annotations.h"
 #include "pitree/pi_tree.h"
 
-#include <cassert>
-
 #include "analysis/latch_checker.h"
 #include "common/coding.h"
 #include "engine/log_apply.h"
-#include "maintenance/maintenance_service.h"
 #include "txn/lock_manager.h"
-#include "txn/txn_manager.h"
-#include "wal/wal_manager.h"
 
 namespace pitree {
 
@@ -18,66 +13,29 @@ namespace pitree {
 // a consolidation candidate (§3.3).
 constexpr size_t kMinNodeUtilizationPct = 20;
 
-PiTree::PiTree(EngineContext* ctx, PageId root) : ctx_(ctx), root_(root) {}
+PiTree::PiTree(EngineContext* ctx, PageId root) : SmoTree(ctx, root) {
+  Configure({.root_terms = &BlinkPolicy::RootTerms,
+             .side_traversals = &stats_.side_traversals,
+             .splits = &stats_.splits,
+             .root_grows = &stats_.root_grows,
+             .posts_attempted = &stats_.posts_attempted,
+             .posts_performed = &stats_.posts_performed,
+             .posts_obsolete = &stats_.posts_obsolete,
+             .in_txn_splits = &stats_.in_txn_splits,
+             .page_undo = ctx->options.page_oriented_undo});
+}
 
-// lint:tsa-escape -- bootstrap/recovery latches pages across helper
-// calls and error paths; checked by the runtime checker and
-// tools/analyze.
-Status PiTree::Create(EngineContext* ctx, PageId root)
-    NO_THREAD_SAFETY_ANALYSIS {
-  Transaction* action = ctx->txns->Begin(/*is_system=*/true);
-  PageHandle h;
-  Status s = ctx->pool->FetchPageZeroed(root, &h);
-  if (!s.ok()) {
-    (void)ctx->txns->Abort(action);  // first error wins
-    return s;
-  }
-  h.latch().AcquireX();
-  PageInitHeader(h.data(), root, PageType::kTreeNode);
-  std::string payload = NodeRef::FormatPayload(
-      /*level=*/0, kNodeFlagRoot, kBoundLowNegInf | kBoundHighPosInf,
-      Slice(), Slice(), kInvalidPageId);
-  s = LogAndApply(ctx, action, h, PageOp::kNodeFormat, std::move(payload),
-                  PageOp::kNone, "");
-  h.latch().ReleaseX();
-  h.Reset();
-  if (!s.ok()) {
-    (void)ctx->txns->Abort(action);  // first error wins
-    return s;
-  }
-  return ctx->txns->Commit(action);
+Status PiTree::Create(EngineContext* ctx, PageId root) {
+  return FormatRoot(ctx, root,
+                    NodeRef::FormatPayload(
+                        /*level=*/0, kNodeFlagRoot,
+                        kBoundLowNegInf | kBoundHighPosInf, Slice(), Slice(),
+                        kInvalidPageId));
 }
 
 // ---------------------------------------------------------------------------
 // Traversal
 // ---------------------------------------------------------------------------
-
-bool PiTree::MoveLockVisible(Transaction* txn, PageId page) const {
-  if (!ctx_->options.page_oriented_undo) return false;
-  // A move lock conflicts with IU; seeing that conflict means a mover holds
-  // the node and its index posting must wait for the mover's commit
-  // (§4.2.2). The mover itself is no exception: posting the term for an
-  // uncommitted in-transaction split would outlive the split's undo, so the
-  // probe deliberately does NOT exclude `txn`'s own move lock.
-  (void)txn;
-  return ctx_->locks->WouldConflict(kInvalidTxnId, PageLockName(page),
-                                    LockMode::kIU);
-}
-
-void PiTree::SchedulePosting(OpCtx* op, uint8_t level, PageId from,
-                             PageId sibling, const Slice& key) {
-  if (MoveLockVisible(op->txn, from)) {
-    return;  // §4.2.2: do not schedule postings across a move lock
-  }
-  CompletionJob job;
-  job.kind = CompletionJob::Kind::kPostIndexTerm;
-  job.tree_root = root_;
-  job.level = static_cast<uint8_t>(level + 1);
-  job.address = sibling;
-  job.key = key.ToString();
-  job.path = op->path;
-  op->pending.push_back(std::move(job));
-}
 
 void PiTree::MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node,
                                       PageId pid) {
@@ -159,21 +117,21 @@ Status PiTree::Descend(OpCtx* op, const Slice& key, uint8_t target_level,
   d->target_level = target_level;
   d->target_mode = target_mode;
   d->couple = ctx_->options.consolidation_enabled;  // CP vs CNS, §5.2
-  d->counters.side = &stats_.side_traversals;
   d->path = &op->path;
   if (hint != nullptr && !hint->nodes.empty()) {
     PITREE_RETURN_IF_ERROR(StartFromSavedPath(*hint, d));
     if (!d->node.valid()) d->trusted = hint;
   }
-  Status s = LatchedDescend(ctx_->pool, root_, BlinkPolicy{key}, d);
+  Status s = Traverse(op, BlinkPolicy{key}, key, d);
   if (d->trusted_hits > 0) {
     stats_.saved_path_hits.fetch_add(d->trusted_hits,
                                      std::memory_order_relaxed);
   }
-  for (const SideHop& hop : d->side_hops) {
-    SchedulePosting(op, hop.level, hop.from, hop.to, key);
-  }
   return s;
+}
+
+Status PiTree::Search(OpCtx* op, const CompletionJob& job, Descent* d) {
+  return Descend(op, job.key, job.level, LatchMode::kUpdate, &job.path, d);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,33 +171,10 @@ Status PiTree::LockRecordNoWait(OpCtx* op, PageHandle* leaf, LatchMode mode,
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Pending completing actions
-// ---------------------------------------------------------------------------
-
-void PiTree::FlushPending(OpCtx* op) {
-  if (op->pending.empty()) return;
-  std::vector<CompletionJob> jobs;
-  jobs.swap(op->pending);
-  if (ctx_->options.inline_completion || ctx_->maintenance == nullptr) {
-    for (const auto& job : jobs) {
-      // Completing actions are hints; their failure (e.g. Busy) only delays
-      // optimization of the tree, never correctness (§5.1).
-      (void)ExecuteJob(job);
-    }
-  } else {
-    for (auto& job : jobs) {
-      // Submit may collapse the job into a queued duplicate or drop it for
-      // backpressure; both are safe for a hint (§5.1).
-      ctx_->maintenance->Submit(std::move(job));
-    }
-  }
-}
-
 Status PiTree::ExecuteJob(const CompletionJob& job) {
   switch (job.kind) {
     case CompletionJob::Kind::kPostIndexTerm:
-      return PostIndexTerm(job);
+      return PostIndexTerm(BlinkPolicy{job.key}, job);
     case CompletionJob::Kind::kConsolidate:
       return Consolidate(job);
   }
@@ -277,9 +212,7 @@ Status PiTree::Get(Transaction* txn, const Slice& key, std::string* value)
     // The epoch is closed: schedule the hints a latched traversal would
     // have (§5.1 postings for crossed side pointers, §3.3 consolidation of
     // an under-utilized leaf); `trace.image` holds the validated leaf copy.
-    for (const SideHop& hop : trace.side_hops) {
-      SchedulePosting(&op, hop.level, hop.from, hop.to, key);
-    }
+    ScheduleHops(&op, trace.side_hops, key);
     MaybeScheduleConsolidate(&op, NodeRef(trace.image), trace.target);
   } else {
     stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -413,7 +346,7 @@ Status PiTree::InsertImpl(Transaction* txn, const Slice& key,
         FlushPending(&op);
         return Status::NoSpace("insert requires a structure change");
       }
-      s = SplitLeafForInsert(&op, &d.node, key, &restart);
+      s = SplitForInsert(&op, &d.node, key);
       if (!s.ok()) {
         FlushPending(&op);
         return s;
@@ -491,7 +424,7 @@ Status PiTree::Update(Transaction* txn, const Slice& key,
     // In-place update may need more room for a longer value.
     if (value.size() > old_value.size() &&
         !node.CanFit(0, value.size() - old_value.size())) {
-      s = SplitLeafForInsert(&op, &d.node, key, &restart);
+      s = SplitForInsert(&op, &d.node, key);
       if (!s.ok()) {
         FlushPending(&op);
         return s;
@@ -633,7 +566,7 @@ Status PiTree::LogicalUndo(Transaction* txn, PageOp undo_op,
           // Re-insertion needs room: run an independent split action
           // (structure changes are legal during rollback, §4.2.1), then
           // retry the undo at the proper node.
-          s = SplitLeafForInsert(&op, &d.node, key, nullptr);
+          s = SplitForInsert(&op, &d.node, key);
           if (!s.ok()) {
             FlushPending(&op);
             return s;

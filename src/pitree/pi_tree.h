@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "pitree/descent.h"
 #include "pitree/node_page.h"
 #include "pitree/path.h"
+#include "pitree/smo.h"
 #include "storage/buffer_pool.h"
 #include "txn/transaction.h"
 
@@ -61,7 +61,7 @@ struct PiTreeStats {
 ///    traversal + trusted paths.
 ///
 /// Thread-safe: any number of concurrent operations on one PiTree instance.
-class PiTree {
+class PiTree : public SmoTree {
  public:
   /// Attaches to an existing tree rooted (immortally) at `root`.
   PiTree(EngineContext* ctx, PageId root);
@@ -99,11 +99,9 @@ class PiTree {
 
   // -- structure-change machinery (public for tests and the completion
   //    queue; normal callers never invoke these directly) ------------------
-  /// Executes a completing atomic action (§5.1). Idempotent.
-  Status ExecuteJob(const CompletionJob& job);
-
-  /// The §5.3 index-term posting atomic action.
-  Status PostIndexTerm(const CompletionJob& job);
+  /// Executes a completing atomic action (§5.1): an index-term posting
+  /// (pitree/smo.h) or a consolidation. Idempotent.
+  Status ExecuteJob(const CompletionJob& job) override;
 
   /// The consolidation atomic action (§3.3).
   Status Consolidate(const CompletionJob& job);
@@ -133,7 +131,6 @@ class PiTree {
   Status AuditPath(const Slice& key, size_t* nodes_checked,
                    std::string* report) const;
 
-  PageId root() const { return root_; }
   const PiTreeStats& stats() const { return stats_; }
 
   /// Builds the logical-undo payload for a data-node record.
@@ -142,13 +139,6 @@ class PiTree {
 
  private:
   friend class PiTreeTestPeer;
-
-  /// Per-operation context threaded through a traversal.
-  struct OpCtx {
-    Transaction* txn = nullptr;
-    SavedPath path;
-    std::vector<CompletionJob> pending;  // completing actions to schedule
-  };
 
   /// Descends to the node at `target_level` whose directly contained space
   /// includes `key`, latched in `target_mode`, under the CP/CNS regime
@@ -164,13 +154,11 @@ class PiTree {
   /// `d->node` empty when the descent must start at the root.
   Status StartFromSavedPath(const SavedPath& hint, Descent* d);
 
+  /// The posting action's Search step: Descend with the job's saved path.
+  Status Search(OpCtx* op, const CompletionJob& job, Descent* d) override;
+
   /// Notes an under-utilized node for consolidation (CP regime only).
   void MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node, PageId pid);
-
-  /// Schedules the completion of an unposted split detected at `from` ->
-  /// `sibling` (skipped when a move lock covers `from`, §4.2.2).
-  void SchedulePosting(OpCtx* op, uint8_t level, PageId from, PageId sibling,
-                       const Slice& key);
 
   /// Acquires a record lock under the No-Wait Rule (§4.1.2): try while
   /// latched; on conflict release the leaf latch, wait, re-latch and
@@ -179,46 +167,19 @@ class PiTree {
   Status LockRecordNoWait(OpCtx* op, PageHandle* leaf, LatchMode mode,
                           const Slice& key, LockMode lock_mode, bool* restart);
 
-  /// Splits the (X-latched) node `h`; caller supplies the atomic action or
-  /// user transaction `txn` that owns the split (§4.2 decides which).
-  /// On return the sibling is created, `h` carries the sibling term, and
-  /// `*new_sibling` names the new node.
-  Status SplitNode(Transaction* txn, PageHandle& h, PageId* new_sibling,
-                   std::map<PageId, PageHandle*>* action_pages);
+  /// The B-link split (§3.2.1) of the X-latched node `h`, owned by the
+  /// atomic action or user transaction `txn` (§4.2 decides which): the
+  /// upper half of the entries moves to a new right sibling, which inherits
+  /// `h`'s sibling term; `h` gets the sibling term for the new node.
+  Status SplitNode(Transaction* txn, PageHandle& h,
+                   PageId* new_sibling) override;
 
-  /// Grows the tree: the X-latched root is full; creates two children and
-  /// turns the root into an index node one level up (§5.3 Space Test).
-  /// `out_children` (nullable) receives the two new page ids.
-  Status GrowRoot(Transaction* txn, PageHandle& root_h,
-                  std::map<PageId, PageHandle*>* action_pages,
-                  PageId out_children[2] = nullptr);
-
-  /// Allocates / frees a page within `txn` (latches the space map last).
-  Status AllocPage(Transaction* txn, PageId* out);
-  Status FreePage(Transaction* txn, PageId page);
-
-  /// Leaf-split orchestration for record inserts: picks the independent-
-  /// action vs. in-transaction regime (§4.2) and performs the split.
-  Status SplitLeafForInsert(OpCtx* op, PageHandle* leaf, const Slice& key,
-                            bool* restart);
+  /// §4.2.1: whether the leaf's split would move a record `user` updated.
+  bool MovesOwnRecords(Transaction* user, const NodeRef& leaf) const override;
 
   Status InsertImpl(Transaction* txn, const Slice& key, const Slice& value,
                     bool allow_split);
 
-  /// Runs `op->pending` jobs (inline mode) or hands them to the queue.
-  void FlushPending(OpCtx* op);
-
-  /// Rolls back and ends a failed atomic action. `action_pages` maps pages
-  /// the caller still holds X-latched.
-  void AbortAction(Transaction* action,
-                   std::map<PageId, PageHandle*>* action_pages);
-
-  /// True if the given leaf (by page id) is covered by a move lock held by
-  /// a transaction other than `txn`.
-  bool MoveLockVisible(Transaction* txn, PageId page) const;
-
-  EngineContext* const ctx_;
-  const PageId root_;
   mutable PiTreeStats stats_;
 };
 

@@ -8,13 +8,11 @@
 // the B-link instantiation; clipped multi-parent terms are marked and
 // skipped, §3.3).
 
-#include <map>
-
 #include "common/thread_annotations.h"
 #include "engine/log_apply.h"
+#include "engine/page_alloc.h"
 #include "pitree/pi_tree.h"
 #include "txn/lock_manager.h"
-#include "txn/txn_manager.h"
 
 namespace pitree {
 
@@ -128,55 +126,52 @@ Status PiTree::Consolidate(const CompletionJob& job) NO_THREAD_SAFETY_ANALYSIS {
     return Status::OK();
   }
 
-  Transaction* action = ctx_->txns->Begin(/*is_system=*/true);
+  // From here on the action holds all three X latches: it rolls back under
+  // them if a step fails, then releases them.
+  SmoAction action(ctx_);
+  PageHandle* pp = action.Hold(std::move(parent), LatchMode::kExclusive);
+  PageHandle* pa = action.Hold(std::move(ah), LatchMode::kExclusive);
+  PageHandle* pb = action.Hold(std::move(bh), LatchMode::kExclusive);
 
   // Page-oriented UNDO: the move needs move locks so that no transaction
   // with pending page-oriented undo has records in flight (§4.2.2). The
   // action never waits while latched (No-Wait Rule): on conflict it simply
   // gives up; the node will be rescheduled by a later traversal.
   if (ctx_->options.page_oriented_undo) {
-    Status la = ctx_->locks->Lock(action, PageLockName(bh.id()), LockMode::kM,
-                                  /*wait=*/false);
-    if (la.ok()) {
-      la = ctx_->locks->Lock(action, PageLockName(ah.id()), LockMode::kM,
-                             /*wait=*/false);
+    s = ctx_->locks->Lock(action.txn(), PageLockName(pb->id()), LockMode::kM,
+                          /*wait=*/false);
+    if (s.ok()) {
+      s = ctx_->locks->Lock(action.txn(), PageLockName(pa->id()),
+                            LockMode::kM, /*wait=*/false);
     }
-    if (!la.ok()) {
-      AbortAction(action, nullptr);
-      release_all();
+    if (!s.ok()) {
+      s = action.End(s);
       FlushPending(&op);
-      return la.IsBusy() ? Status::OK() : la;
+      return s.IsBusy() ? Status::OK() : s;
     }
   }
 
-  std::map<PageId, PageHandle*> pages;
-  pages[parent.id()] = &parent;
-  pages[ah.id()] = &ah;
-  pages[bh.id()] = &bh;
-
   // 1. Move the contents from contained to containing (§3.3).
-  std::string a_image = a.ImagePayload();
-  s = LogAndApply(ctx_, action, ah, PageOp::kNodeBulkLoad,
+  s = LogAndApply(ctx_, action.txn(), *pa, PageOp::kNodeBulkLoad,
                   NodeRef::BulkLoadPayload(moved), PageOp::kNodeUnsplit,
-                  std::move(a_image));
+                  a.ImagePayload());
   // 2. The container takes over the contained node's space: its high key
   //    and side pointer become the contained node's.
   if (s.ok()) {
     uint8_t bound = 0;
     if (a.low_is_neg_inf()) bound |= kBoundLowNegInf;
     if (b.high_is_pos_inf()) bound |= kBoundHighPosInf;
-    std::string old_meta = a.MetaPayload();
     s = LogAndApply(
-        ctx_, action, ah, PageOp::kNodeSetMeta,
+        ctx_, action.txn(), *pa, PageOp::kNodeSetMeta,
         NodeRef::MetaPayload(a.level(), a.nflags(), bound,
                              a.low_is_neg_inf() ? Slice() : a.low_key(),
                              b.high_is_pos_inf() ? Slice() : b.high_key(),
                              b.right_sibling()),
-        PageOp::kNodeSetMeta, std::move(old_meta));
+        PageOp::kNodeSetMeta, a.MetaPayload());
   }
   // 3. Delete the contained node's index term from the (single) parent.
   if (s.ok()) {
-    s = LogAndApply(ctx_, action, parent, PageOp::kNodeDelete,
+    s = LogAndApply(ctx_, action.txn(), *pp, PageOp::kNodeDelete,
                     NodeRef::DeletePayload(ced_key), PageOp::kNodeInsert,
                     NodeRef::InsertPayload(ced_key, ced_value));
   }
@@ -184,34 +179,26 @@ Status PiTree::Consolidate(const CompletionJob& job) NO_THREAD_SAFETY_ANALYSIS {
   //    bumps the state identifier; under strategy (a) the node's bytes are
   //    left alone and only the space map changes.
   if (s.ok() && ctx_->options.dealloc_is_node_update) {
-    std::string old_meta = b.MetaPayload();
     s = LogAndApply(
-        ctx_, action, bh, PageOp::kNodeSetMeta,
+        ctx_, action.txn(), *pb, PageOp::kNodeSetMeta,
         NodeRef::MetaPayload(b.level(),
                              b.nflags() | kNodeFlagDeallocated,
                              b.bound_flags(),
                              b.low_is_neg_inf() ? Slice() : b.low_key(),
                              b.high_is_pos_inf() ? Slice() : b.high_key(),
                              b.right_sibling()),
-        PageOp::kNodeSetMeta, std::move(old_meta));
+        PageOp::kNodeSetMeta, b.MetaPayload());
   }
+  if (s.ok()) s = EngineFreePage(ctx_, action.txn(), pb->id());
   if (s.ok()) {
-    s = FreePage(action, bh.id());
-  }
-
-  if (s.ok()) {
-    s = ctx_->txns->Commit(action);
-    if (s.ok()) {
-      stats_.consolidations_performed.fetch_add(1, std::memory_order_relaxed);
-    }
     // Consolidation of index terms can make the parent under-utilized,
     // escalating the change one level up (§5).
-    NodeRef pafter(parent.data());
-    MaybeScheduleConsolidate(&op, pafter, parent.id());
-  } else {
-    AbortAction(action, &pages);
+    MaybeScheduleConsolidate(&op, NodeRef(pp->data()), pp->id());
   }
-  release_all();
+  s = action.End(s);
+  if (s.ok()) {
+    stats_.consolidations_performed.fetch_add(1, std::memory_order_relaxed);
+  }
   FlushPending(&op);
   return s;
 }

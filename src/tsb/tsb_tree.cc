@@ -1,23 +1,15 @@
-// lint:allow-naked-latch -- splits X-latch fresh nodes and the promoted
-// leaf, posting S-probes one child under the U-latched parent, history
-// walks S-couple; descents run through the pitree/descent.h kernel.
+// lint:allow-naked-latch -- splits X-latch fresh nodes, history walks
+// S-couple; descents run through the pitree/descent.h kernel, structure
+// changes through pitree/smo.h.
 #include "common/thread_annotations.h"
 #include "tsb/tsb_tree.h"
 
-#include <algorithm>
-#include <cassert>
-#include <map>
 #include <sstream>
 
 #include "common/coding.h"
 #include "engine/log_apply.h"
-#include "engine/page_alloc.h"
 #include "mvcc/timestamp_oracle.h"
-#include "recovery/recovery_manager.h"
-#include "storage/space_map.h"
 #include "txn/lock_manager.h"
-#include "txn/txn_manager.h"
-#include "wal/wal_manager.h"
 
 namespace pitree {
 
@@ -32,6 +24,18 @@ std::string TagValue(bool tombstone, const Slice& v) {
   std::string out(1, tombstone ? kValueTagTombstone : kValueTagData);
   out.append(v.data(), v.size());
   return out;
+}
+
+/// True when version `all[i]` is dead once its node is time-split: a later
+/// version of the same key follows it, or it is a tombstone.
+bool DeadVersion(const std::vector<NodeEntry>& all, size_t i) {
+  Slice key, next;
+  TsbTime t;
+  if (i + 1 < all.size() && TsbTree::SplitComposite(all[i].key, &key, &t) &&
+      TsbTree::SplitComposite(all[i + 1].key, &next, &t) && next == key) {
+    return true;
+  }
+  return !all[i].value.empty() && all[i].value[0] == kValueTagTombstone;
 }
 
 bool ValidUserKey(const Slice& key) {
@@ -91,39 +95,25 @@ bool TsbTree::GetHistoryTerm(const NodeRef& node, HistoryTerm* term) {
   return DecodeHistoryTerm(node.EntryValue(slot), term);
 }
 
-TsbTree::TsbTree(EngineContext* ctx, PageId root) : ctx_(ctx), root_(root) {}
+TsbTree::TsbTree(EngineContext* ctx, PageId root) : SmoTree(ctx, root) {
+  Configure({.root_terms = &BlinkPolicy::RootTerms,
+             .side_traversals = &stats_.side_traversals,
+             .splits = &stats_.key_splits,
+             .root_grows = &stats_.root_grows,
+             .grow_counts_as_split = false,
+             .page_undo = true});
+}
 
 TsbTime TsbTree::Now() {
   if (ctx_->oracle != nullptr) return ctx_->oracle->Next();
   return clock_.fetch_add(1) + 1;
 }
 
-// lint:tsa-escape -- bootstrap/recovery latches pages across helper
-// calls and error paths; checked by the runtime checker and
-// tools/analyze.
-Status TsbTree::Create(EngineContext* ctx, PageId root)
-    NO_THREAD_SAFETY_ANALYSIS {
-  Transaction* action = ctx->txns->Begin(/*is_system=*/true);
-  PageHandle h;
-  Status s = ctx->pool->FetchPageZeroed(root, &h);
-  if (!s.ok()) {
-    (void)ctx->txns->Abort(action);  // first error wins
-    return s;
-  }
-  h.latch().AcquireX();
-  PageInitHeader(h.data(), root, PageType::kTreeNode);
-  s = LogAndApply(ctx, action, h, PageOp::kNodeFormat,
-                  NodeRef::FormatPayload(0, kNodeFlagRoot,
-                                         kBoundLowNegInf | kBoundHighPosInf,
-                                         Slice(), Slice(), kInvalidPageId),
-                  PageOp::kNone, "");
-  h.latch().ReleaseX();
-  h.Reset();
-  if (!s.ok()) {
-    (void)ctx->txns->Abort(action);  // first error wins
-    return s;
-  }
-  return ctx->txns->Commit(action);
+Status TsbTree::Create(EngineContext* ctx, PageId root) {
+  return FormatRoot(ctx, root,
+                    NodeRef::FormatPayload(0, kNodeFlagRoot,
+                                           kBoundLowNegInf | kBoundHighPosInf,
+                                           Slice(), Slice(), kInvalidPageId));
 }
 
 // ---------------------------------------------------------------------------
@@ -167,27 +157,17 @@ Answer TsbPolicy::Resolve(const NodeRef& node, std::string* value) const {
   return {Status::NotFound("no version")};
 }
 
-Status TsbTree::Descend(const TsbPolicy& policy, LatchMode mode,
-                        std::vector<SideHop>* hops, PageHandle* leaf) {
-  Descent d;
-  d.target_mode = mode;
-  d.counters.side = &stats_.side_traversals;
-  Status s = LatchedDescend(ctx_->pool, root_, policy, &d);
-  if (hops != nullptr) {
-    hops->insert(hops->end(), d.side_hops.begin(), d.side_hops.end());
-  }
-  *leaf = std::move(d.node);
-  return s;
+Status TsbTree::Search(OpCtx* op, const CompletionJob& job, Descent* d) {
+  d->target_level = job.level;
+  d->target_mode = LatchMode::kUpdate;
+  return Traverse(op, BlinkPolicy{job.key}, job.key, d);
 }
 
-void TsbTree::PostCrossedSplits(const Slice& key,
-                                const std::vector<SideHop>& hops) {
-  for (const SideHop& hop : hops) {
-    if (!ctx_->locks->WouldConflict(kInvalidTxnId, PageLockName(hop.from),
-                                    LockMode::kIU)) {
-      (void)PostKeySplit(key);
-    }
+Status TsbTree::ExecuteJob(const CompletionJob& job) {
+  if (job.kind != CompletionJob::Kind::kPostIndexTerm) {
+    return Status::InvalidArgument("tsb: unsupported job kind");
   }
+  return PostIndexTerm(BlinkPolicy{job.key}, job);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,56 +186,28 @@ Status TsbTree::TimeSplit(Transaction* owner, PageHandle& leaf, TsbTime t)
   std::vector<NodeEntry> all = node.AllEntries();
   std::string image = node.ImagePayload();
 
-  PageId hpid;
-  PITREE_RETURN_IF_ERROR(EngineAllocPage(ctx_, owner, &hpid));
-  PageHandle hh;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPageZeroed(hpid, &hh));
-  hh.latch().AcquireX();
-  PageInitHeader(hh.data(), hpid, PageType::kTreeNode);
-  uint8_t bound = 0;
-  if (node.low_is_neg_inf()) bound |= kBoundLowNegInf;
-  if (node.high_is_pos_inf()) bound |= kBoundHighPosInf;
   // History nodes keep the key bounds but are not part of the current
-  // level's side chain: their right sibling is invalid.
-  Status s = LogAndApply(
-      ctx_, owner, hh, PageOp::kNodeFormat,
-      NodeRef::FormatPayload(0, 0, bound,
-                             node.low_is_neg_inf() ? Slice() : node.low_key(),
-                             node.high_is_pos_inf() ? Slice()
-                                                    : node.high_key(),
-                             kInvalidPageId),
-      PageOp::kNone, "");
-  if (s.ok()) {
-    s = LogAndApply(ctx_, owner, hh, PageOp::kNodeBulkLoad,
-                    NodeRef::BulkLoadPayload(all), PageOp::kNone, "");
-  }
+  // level's side chain.
+  PageHandle hh;
+  PITREE_RETURN_IF_ERROR(NewNode(owner, FormatLike(node, 0), all, &hh));
+  const PageId hpid = hh.id();
   hh.latch().ReleaseX();
   hh.Reset();
-  if (!s.ok()) return s;
 
   // Prune the current node: keep, per user key, only the newest version —
   // and drop it too if it is a tombstone (the key is dead at t). Keep the
   // reserved history entry out of the scan; it is replaced below.
   std::vector<NodeEntry> erase;
   for (size_t i = 0; i < all.size(); ++i) {
-    const NodeEntry& e = all[i];
-    if (e.key == kHistoryEntryKey) continue;
+    if (all[i].key == kHistoryEntryKey) continue;
     Slice ukey;
     TsbTime vt;
-    if (!SplitComposite(e.key, &ukey, &vt)) {
+    if (!SplitComposite(all[i].key, &ukey, &vt)) {
       return Status::Corruption("tsb: bad composite during time split");
     }
-    bool superseded = false;
-    if (i + 1 < all.size()) {
-      Slice nkey;
-      TsbTime nt;
-      if (SplitComposite(all[i + 1].key, &nkey, &nt) && nkey == ukey) {
-        superseded = true;
-      }
-    }
-    bool tombstone = !e.value.empty() && e.value[0] == kValueTagTombstone;
-    if (superseded || tombstone) erase.push_back(e);
+    if (DeadVersion(all, i)) erase.push_back(all[i]);
   }
+  Status s;
   if (!erase.empty()) {
     s = LogAndApply(ctx_, owner, leaf, PageOp::kNodeBulkErase,
                     NodeRef::BulkErasePayload(erase), PageOp::kNodeUnsplit,
@@ -284,11 +236,8 @@ Status TsbTree::TimeSplit(Transaction* owner, PageHandle& leaf, TsbTime t)
   return s;
 }
 
-// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
-// error paths; checked by the runtime checker and tools/analyze.
-Status TsbTree::KeySplit(Transaction* owner, PageHandle& leaf,
-                         PageId* sibling, std::string* split_key)
-    NO_THREAD_SAFETY_ANALYSIS {
+Status TsbTree::SplitNode(Transaction* owner, PageHandle& leaf,
+                          PageId* sibling) {
   NodeRef node(leaf.data());
   // Choose the median *user key* boundary among regular entries.
   std::vector<NodeEntry> all = node.AllEntries();
@@ -311,353 +260,51 @@ Status TsbTree::KeySplit(Transaction* owner, PageHandle& leaf,
   if (moved.empty() || moved.size() == regular.size()) {
     return Status::NoSpace("tsb: degenerate key split");
   }
-  std::string image = node.ImagePayload();
   HistoryTerm hist;
-  bool has_hist = GetHistoryTerm(node, &hist);
-  if (has_hist) {
+  if (GetHistoryTerm(node, &hist)) {
     // Figure 1: "new current nodes contain copies of old history node
     // pointers" — the new node is responsible for the entire history of
-    // its key space through this copied pointer.
-    moved.push_back({kHistoryEntryKey,
-                     EncodeHistoryTerm(hist.page, hist.split_time)});
+    // its key space through this copied pointer. The entry ("\x01H")
+    // sorts below the split key, so the source keeps its own.
+    moved.insert(moved.begin(),
+                 {kHistoryEntryKey,
+                  EncodeHistoryTerm(hist.page, hist.split_time)});
   }
-
-  PageId bpid;
-  PITREE_RETURN_IF_ERROR(EngineAllocPage(ctx_, owner, &bpid));
-  PageHandle bh;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPageZeroed(bpid, &bh));
-  bh.latch().AcquireX();
-  PageInitHeader(bh.data(), bpid, PageType::kTreeNode);
-  uint8_t bound = node.high_is_pos_inf() ? kBoundHighPosInf : 0;
-  std::string high =
-      node.high_is_pos_inf() ? std::string() : node.high_key().ToString();
-  Status s = LogAndApply(
-      ctx_, owner, bh, PageOp::kNodeFormat,
-      NodeRef::FormatPayload(node.level(), 0, bound, skey, high,
-                             node.right_sibling()),
-      PageOp::kNone, "");
-  if (s.ok()) {
-    std::sort(moved.begin(), moved.end(),
-              [](const NodeEntry& a, const NodeEntry& b) {
-                return a.key < b.key;
-              });
-    s = LogAndApply(ctx_, owner, bh, PageOp::kNodeBulkLoad,
-                    NodeRef::BulkLoadPayload(moved), PageOp::kNone, "");
-  }
-  if (s.ok()) {
-    // kNodeSplitApply erases moved entries (all >= skey) and installs the
-    // sibling term; the copied history entry ("\x01H...") sorts below skey
-    // and stays in place.
-    s = LogAndApply(ctx_, owner, leaf, PageOp::kNodeSplitApply,
-                    NodeRef::SplitPayload(skey, bpid), PageOp::kNodeUnsplit,
-                    std::move(image));
-  }
-  bh.latch().ReleaseX();
-  if (!s.ok()) return s;
-  *sibling = bpid;
-  *split_key = skey;
-  stats_.key_splits.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return SplitOffRight(owner, leaf, skey, moved, sibling);
 }
 
-// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
-// error paths; checked by the runtime checker and tools/analyze.
-Status TsbTree::GrowRoot(Transaction* owner, PageHandle& root_h)
-    NO_THREAD_SAFETY_ANALYSIS {
-  NodeRef root(root_h.data());
-  // Same scheme as the Π-tree root grow, except a leaf root's history term
-  // must be copied into BOTH children (each is responsible for the history
-  // of its key range). Index-node roots have no history terms.
-  std::vector<NodeEntry> all = root.AllEntries();
-  std::vector<NodeEntry> regular;
-  NodeEntry hist_entry;
-  bool has_hist = false;
-  for (auto& e : all) {
-    if (e.key == kHistoryEntryKey) {
-      hist_entry = e;
-      has_hist = true;
-    } else {
-      regular.push_back(std::move(e));
-    }
-  }
-  if (regular.size() < 2) return Status::NoSpace("tsb: root unsplittable");
-  std::string skey;
-  if (root.is_leaf()) {
-    Slice mid_user;
-    TsbTime unused;
-    if (!SplitComposite(regular[regular.size() / 2].key, &mid_user,
-                        &unused)) {
-      return Status::Corruption("tsb: bad composite at root split");
-    }
-    skey = CompositeKey(mid_user, 0);
-  } else {
-    skey = regular[regular.size() / 2].key;
-  }
-  std::vector<NodeEntry> lower, upper;
-  for (const auto& e : regular) {
-    (Slice(e.key).compare(skey) < 0 ? lower : upper).push_back(e);
-  }
-  if (lower.empty() || upper.empty()) {
-    return Status::NoSpace("tsb: degenerate root split");
-  }
-  if (has_hist) {
-    lower.push_back(hist_entry);
-    upper.push_back(hist_entry);
-    std::sort(lower.begin(), lower.end(),
-              [](const NodeEntry& a, const NodeEntry& b) {
-                return a.key < b.key;
-              });
-    std::sort(upper.begin(), upper.end(),
-              [](const NodeEntry& a, const NodeEntry& b) {
-                return a.key < b.key;
-              });
-  }
-  std::string image = root.ImagePayload();
-  uint8_t old_level = root.level();
-
-  PageId bpid, cpid;
-  PITREE_RETURN_IF_ERROR(EngineAllocPage(ctx_, owner, &bpid));
-  PITREE_RETURN_IF_ERROR(EngineAllocPage(ctx_, owner, &cpid));
-  PageHandle bh, ch;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPageZeroed(bpid, &bh));
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPageZeroed(cpid, &ch));
-  bh.latch().AcquireX();
-  ch.latch().AcquireX();
-  PageInitHeader(bh.data(), bpid, PageType::kTreeNode);
-  PageInitHeader(ch.data(), cpid, PageType::kTreeNode);
-
-  Status s = LogAndApply(ctx_, owner, bh, PageOp::kNodeFormat,
-                         NodeRef::FormatPayload(old_level, 0,
-                                                kBoundHighPosInf, skey,
-                                                Slice(), kInvalidPageId),
-                         PageOp::kNone, "");
-  if (s.ok()) {
-    s = LogAndApply(ctx_, owner, bh, PageOp::kNodeBulkLoad,
-                    NodeRef::BulkLoadPayload(upper), PageOp::kNone, "");
-  }
-  if (s.ok()) {
-    s = LogAndApply(ctx_, owner, ch, PageOp::kNodeFormat,
-                    NodeRef::FormatPayload(old_level, 0, kBoundLowNegInf,
-                                           Slice(), skey, bpid),
-                    PageOp::kNone, "");
-  }
-  if (s.ok()) {
-    s = LogAndApply(ctx_, owner, ch, PageOp::kNodeBulkLoad,
-                    NodeRef::BulkLoadPayload(lower), PageOp::kNone, "");
-  }
-  if (s.ok()) {
-    s = LogAndApply(ctx_, owner, root_h, PageOp::kNodeFormat,
-                    NodeRef::FormatPayload(old_level + 1, kNodeFlagRoot,
-                                           kBoundLowNegInf | kBoundHighPosInf,
-                                           Slice(), Slice(), kInvalidPageId),
-                    PageOp::kNodeUnsplit, std::move(image));
-  }
-  if (s.ok()) {
-    s = LogAndApply(ctx_, owner, root_h, PageOp::kNodeInsert,
-                    NodeRef::InsertPayload(Slice(), EncodeIndexTerm(cpid)),
-                    PageOp::kNodeDelete, NodeRef::DeletePayload(Slice()));
-  }
-  if (s.ok()) {
-    s = LogAndApply(ctx_, owner, root_h, PageOp::kNodeInsert,
-                    NodeRef::InsertPayload(skey, EncodeIndexTerm(bpid)),
-                    PageOp::kNodeDelete, NodeRef::DeletePayload(skey));
-  }
-  bh.latch().ReleaseX();
-  ch.latch().ReleaseX();
-  if (s.ok()) stats_.root_grows.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
-// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
-// error paths; checked by the runtime checker and tools/analyze.
-Status TsbTree::SplitLeaf(PageHandle* leaf, const Slice& key)
-    NO_THREAD_SAFETY_ANALYSIS {
+Status TsbTree::SplitFullLeaf(Transaction* owner, PageHandle& leaf,
+                              PageId made[2], bool* grew) {
   // Policy (§2.2.2): if a meaningful share of the node is historical (dead
-  // versions / tombstones), split by time; otherwise split by key. Runs as
-  // an independent atomic action; the caller restarts afterwards.
-  // (In-transaction moves are avoided by the M-lock no-wait probe: if any
-  // updater — including the caller — holds the page, we fall back to a
-  // time split at "now", which never moves a live uncommitted version out
-  // of the current node: it only copies, and prunes only superseded or
-  // tombstoned versions, which an uncommitted latest version never is.)
-  NodeRef node(leaf->data());
+  // versions and tombstones), split by time; otherwise split by key.
+  std::vector<NodeEntry> all = NodeRef(leaf.data()).AllEntries();
   size_t dead = 0, total = 0;
-  std::vector<NodeEntry> all = node.AllEntries();
   for (size_t i = 0; i < all.size(); ++i) {
     if (all[i].key == kHistoryEntryKey) continue;
     ++total;
-    Slice ukey;
-    TsbTime vt;
-    if (!SplitComposite(all[i].key, &ukey, &vt)) continue;
-    bool superseded = false;
-    if (i + 1 < all.size()) {
-      Slice nkey;
-      TsbTime nt;
-      if (SplitComposite(all[i + 1].key, &nkey, &nt) && nkey == ukey) {
-        superseded = true;
-      }
-    }
-    bool tombstone =
-        !all[i].value.empty() && all[i].value[0] == kValueTagTombstone;
-    if (superseded || tombstone) ++dead;
+    if (DeadVersion(all, i)) ++dead;
   }
-
-  Transaction* action = ctx_->txns->Begin(/*is_system=*/true);
-  leaf->latch().PromoteUToX();
-  std::map<PageId, PageHandle*> pages;
-  pages[leaf->id()] = leaf;
-
-  Status s;
-  bool time_split = total > 0 && dead * 5 >= total;  // >= 20% historical
-  if (time_split) {
-    s = TimeSplit(action, *leaf, Now());
-  } else if (node.is_root()) {
-    s = GrowRoot(action, *leaf);
-  } else {
-    PageId sibling;
-    std::string skey;
-    s = KeySplit(action, *leaf, &sibling, &skey);
-  }
-
-  if (!s.ok()) {
-    if (action->last_lsn != kInvalidLsn) {
-      LogActionAbort(ctx_, action);
-      (void)ctx_->recovery->RollbackTxnWithPages(action, pages);
-      LogActionEnd(ctx_, action);
-    }
-    ctx_->locks->ReleaseAll(action);
-    ctx_->txns->Discard(action);
-    leaf->latch().ReleaseX();
-    leaf->Reset();
-    return s;
-  }
-  leaf->latch().ReleaseX();
-  leaf->Reset();
-  return ctx_->txns->Commit(action);
+  if (total == 0 || dead * 5 < total) return Split(owner, leaf, made, grew);
+  made[0] = made[1] = kInvalidPageId;
+  *grew = false;
+  return TimeSplit(owner, leaf, Now());
 }
 
-// ---------------------------------------------------------------------------
-// Key-split posting (completion)
-// ---------------------------------------------------------------------------
-
-// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
-// error paths; checked by the runtime checker and tools/analyze.
-Status TsbTree::PostKeySplit(const Slice& approx_key)
-    NO_THREAD_SAFETY_ANALYSIS {
-  // Simplified §5.3 posting for the TSB instance: descend to level 1 with a
-  // U latch, verify via the child's side pointer, post missing terms.
-  std::string composite = CompositeKey(approx_key, 0);
-  Descent d;
-  d.target_level = 1;
-  d.target_mode = LatchMode::kUpdate;
-  Status s = LatchedDescend(ctx_->pool, root_, BlinkPolicy{composite}, &d);
-  // NotFound: a height-1 tree has nothing to post into. Busy: the level-1
-  // node changed under the re-latch; a later traversal completes the split.
-  if (s.IsNotFound() || s.IsBusy()) return Status::OK();
-  PITREE_RETURN_IF_ERROR(s);
-  PageHandle cur = std::move(d.node);
-
-  Transaction* action = ctx_->txns->Begin(/*is_system=*/true);
-  std::map<PageId, PageHandle*> pages;
-  pages[cur.id()] = &cur;
-  bool is_x = false;
-  for (;;) {
-    NodeRef node(cur.data());
-    if (!node.BelowHigh(composite)) break;  // posted past our duty
-    int slot = node.FindChildSlot(composite);
-    IndexTerm term;
-    if (slot < 0 || !DecodeIndexTerm(node.EntryValue(slot), &term)) {
-      s = Status::Corruption("tsb: bad index term in posting");
-      break;
+bool TsbTree::MovesOwnRecords(Transaction* user, const NodeRef& leaf) const {
+  // Undo is page-oriented, and a key split moves versions while a time
+  // split prunes superseded ones and tombstones: either may take away a
+  // version the transaction has yet to commit. Conservatively, any version
+  // of a key it holds X-locked makes the split its own.
+  for (int i = 0; i < leaf.entry_count(); ++i) {
+    Slice key;
+    TsbTime t;
+    if (!SplitComposite(leaf.EntryKey(i), &key, &t)) continue;
+    auto it = user->held_locks.find(RecordLockName(root_, key));
+    if (it != user->held_locks.end() && it->second == LockMode::kX) {
+      return true;
     }
-    PageHandle ch;
-    s = ctx_->pool->FetchPage(term.child, &ch);
-    if (!s.ok()) break;
-    ch.latch().AcquireS();
-    NodeRef cref(ch.data());
-    if (cref.BelowHigh(composite) || cref.high_is_pos_inf() ||
-        cref.right_sibling() == kInvalidPageId) {
-      ch.latch().ReleaseS();
-      break;  // fully posted for this key
-    }
-    if (ctx_->locks->WouldConflict(kInvalidTxnId, PageLockName(ch.id()),
-                                   LockMode::kIU)) {
-      ch.latch().ReleaseS();
-      break;  // move lock visible: defer (§4.2.2)
-    }
-    std::string sep = cref.high_key().ToString();
-    PageId target = cref.right_sibling();
-    ch.latch().ReleaseS();
-    ch.Reset();
-    if (!is_x) {
-      cur.latch().PromoteUToX();
-      is_x = true;
-    }
-    NodeRef node2(cur.data());
-    std::string term_value = EncodeIndexTerm(target);
-    if (!node2.CanFit(sep.size(), term_value.size())) {
-      if (node2.is_root()) {
-        s = GrowRoot(action, cur);
-        if (!s.ok()) break;
-        // Descend into the half covering the key.
-        NodeRef grown(cur.data());
-        int cs = grown.FindChildSlot(composite);
-        IndexTerm ct;
-        if (cs < 0 || !DecodeIndexTerm(grown.EntryValue(cs), &ct)) {
-          s = Status::Corruption("tsb: grown root lacks child");
-          break;
-        }
-        PageHandle nh;
-        s = ctx_->pool->FetchPage(ct.child, &nh);
-        if (!s.ok()) break;
-        nh.latch().AcquireX();
-        pages.erase(cur.id());
-        cur.latch().ReleaseX();
-        cur = std::move(nh);
-        pages[cur.id()] = &cur;
-      } else {
-        PageId sib;
-        std::string skey;
-        s = KeySplit(action, cur, &sib, &skey);
-        if (!s.ok()) break;
-        NodeRef after(cur.data());
-        if (!after.BelowHigh(composite)) {
-          PageHandle nh;
-          s = ctx_->pool->FetchPage(sib, &nh);
-          if (!s.ok()) break;
-          nh.latch().AcquireX();
-          pages.erase(cur.id());
-          cur.latch().ReleaseX();
-          cur = std::move(nh);
-          pages[cur.id()] = &cur;
-        }
-        // The index split itself needs a posting one level up; the next
-        // traversal that crosses the new side pointer schedules it.
-      }
-      continue;
-    }
-    s = LogAndApply(ctx_, action, cur, PageOp::kNodeInsert,
-                    NodeRef::InsertPayload(sep, term_value),
-                    PageOp::kNodeDelete, NodeRef::DeletePayload(sep));
-    if (!s.ok()) break;
   }
-  if (is_x) {
-    cur.latch().ReleaseX();
-  } else {
-    cur.latch().ReleaseU();
-  }
-  cur.Reset();
-  if (s.ok()) {
-    return ctx_->txns->Commit(action);
-  }
-  if (action->last_lsn != kInvalidLsn) {
-    LogActionAbort(ctx_, action);
-    ctx_->recovery->RollbackTxnWithPages(action, {}).ok();
-    LogActionEnd(ctx_, action);
-  }
-  ctx_->locks->ReleaseAll(action);
-  ctx_->txns->Discard(action);
-  return s;
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -674,11 +321,13 @@ Status TsbTree::WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
   std::string composite = CompositeKey(key, t);
   std::string tagged = TagValue(tombstone, value);
   TsbPolicy policy(key, t);
-  std::vector<SideHop> hops;
+  OpCtx op;
+  op.txn = txn;
   Status result;
   for (;;) {
     PageHandle leaf;
-    PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kUpdate, &hops, &leaf));
+    PITREE_RETURN_IF_ERROR(DescendTo(&op, policy, policy.current_key(),
+                                     LatchMode::kUpdate, &leaf));
     // Updaters declare themselves on the page granule (move-lock protocol).
     // The lock name must be captured before the Busy path resets the handle:
     // leaf.id() on a reset handle is invalid.
@@ -725,7 +374,7 @@ Status TsbTree::WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
       }
     }
     if (!node.CanFit(composite.size(), tagged.size())) {
-      s = SplitLeaf(&leaf, key);
+      s = SplitForInsert(&op, &leaf, policy.current_key());
       if (!s.ok()) return s;
       continue;
     }
@@ -737,7 +386,7 @@ Status TsbTree::WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
     result = s;
     break;
   }
-  PostCrossedSplits(key, hops);
+  FlushPending(&op);
   return result;
 }
 
@@ -804,22 +453,24 @@ Status TsbTree::GetAsOf(Transaction* txn, const Slice& key, TsbTime t,
         txn, RecordLockName(root_, key), LockMode::kS, /*wait=*/true));
   }
   TsbPolicy policy(key, t);
+  OpCtx op;
+  op.txn = txn;
   OptimisticTrace trace;
   Status s = OptimisticGet(ctx_->pool, root_, policy, value,
                            {&stats_.side_traversals, &stats_.history_hops},
                            &trace);
   if (!s.IsBusy()) {
     stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
-    PostCrossedSplits(key, trace.side_hops);
-    return s;
+    ScheduleHops(&op, trace.side_hops, policy.current_key());
+  } else {
+    stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    PageHandle cur;
+    PITREE_RETURN_IF_ERROR(DescendTo(&op, policy, policy.current_key(),
+                                     LatchMode::kShared, &cur));
+    s = ResolveLatched(ctx_->pool, policy, std::move(cur), value,
+                       &stats_.history_hops);
   }
-  stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  std::vector<SideHop> hops;
-  PageHandle cur;
-  PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kShared, &hops, &cur));
-  s = ResolveLatched(ctx_->pool, policy, std::move(cur), value,
-                     &stats_.history_hops);
-  PostCrossedSplits(key, hops);
+  FlushPending(&op);
   return s;
 }
 
@@ -842,7 +493,8 @@ Status TsbTree::SnapshotGet(const Slice& key, TsbTime t, std::string* value) {
   }
   stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
   PageHandle cur;
-  PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kShared, nullptr, &cur));
+  PITREE_RETURN_IF_ERROR(DescendTo(nullptr, policy, policy.current_key(),
+                                   LatchMode::kShared, &cur));
   return ResolveLatched(ctx_->pool, policy, std::move(cur), value,
                         &stats_.history_hops);
 }
@@ -865,7 +517,8 @@ Status TsbTree::ScanAsOf(const Slice& start, const Slice& end, TsbTime t,
   while (!done) {
     PageHandle cur;
     TsbPolicy policy(cursor, t);
-    PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kShared, nullptr, &cur));
+    PITREE_RETURN_IF_ERROR(DescendTo(nullptr, policy, policy.current_key(),
+                                     LatchMode::kShared, &cur));
     // The current leaf's high key bounds the user-key range this round
     // resolves. It must be captured before any history descent: sibling
     // leaves share history nodes after key splits, so a historical node
@@ -985,7 +638,8 @@ Status TsbTree::History(Transaction* txn, const Slice& key,
   (void)txn;
   PageHandle cur;
   TsbPolicy policy(key, kTsbTimeMax);
-  PITREE_RETURN_IF_ERROR(Descend(policy, LatchMode::kShared, nullptr, &cur));
+  PITREE_RETURN_IF_ERROR(DescendTo(nullptr, policy, policy.current_key(),
+                                   LatchMode::kShared, &cur));
   std::string hi = CompositeKey(key, kTsbTimeMax);
   TsbTime oldest_seen = kTsbTimeMax;
   for (;;) {
@@ -1073,13 +727,11 @@ Status TsbTree::CheckWellFormed(std::string* report) const {
       if (level == 0) {
         // History chain: strictly decreasing split times.
         HistoryTerm hist;
-        NodeRef cur_node(h.data());
+        NodeRef cursor(h.data());
         PageHandle walk_h;
         TsbTime prev_time = kTsbTimeMax;
-        const NodeRef* cursor = &cur_node;
-        PageHandle hold;
         int hops = 0;
-        while (GetHistoryTerm(*cursor, &hist)) {
+        while (GetHistoryTerm(cursor, &hist)) {
           if (hist.split_time >= prev_time) {
             fail(pid, "history split times not decreasing");
             break;
@@ -1089,13 +741,12 @@ Status TsbTree::CheckWellFormed(std::string* report) const {
             fail(pid, "history chain too long / cyclic");
             break;
           }
-          Status s = ctx_->pool->FetchPage(hist.page, &hold);
-          if (!s.ok()) return s;
-          walk_h = std::move(hold);
-          static thread_local NodeRef* dummy = nullptr;
-          (void)dummy;
-          cur_node = NodeRef(walk_h.data());
-          cursor = &cur_node;
+          // Into a fresh handle: FetchPage assigns it under the pool's
+          // shard mutex, where unpinning the previous page must not happen.
+          PageHandle next;
+          PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(hist.page, &next));
+          walk_h = std::move(next);
+          cursor = NodeRef(walk_h.data());
         }
       } else if (first && node.entry_count() > 0) {
         IndexTerm term;

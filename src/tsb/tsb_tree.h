@@ -12,6 +12,7 @@
 #include "engine/engine_context.h"
 #include "pitree/descent.h"
 #include "pitree/node_page.h"
+#include "pitree/smo.h"
 #include "storage/buffer_pool.h"
 #include "txn/transaction.h"
 
@@ -65,8 +66,11 @@ struct TsbScanEntry {
 /// upper key range to a new current node, which receives a copy of the
 /// history pointer (Figure 1's caption, verbatim behavior).
 ///
-/// Both split kinds are independent atomic actions; key-split index-term
-/// postings use the same deferred-completion discipline as the Π-tree.
+/// Both split kinds are independent atomic actions — or, when they would
+/// move or prune the writing transaction's own uncommitted versions, part
+/// of that transaction under a move lock (§4.2; undo is page-oriented).
+/// Splits, root grows and index-term postings run through the same kernel
+/// (pitree/smo.h) and completion-job path as the Π-tree.
 ///
 /// Storage mapping: records are composite-keyed (user_key · 0x00 · time) in
 /// ordinary tree-node pages; the history sibling term is a reserved entry
@@ -77,7 +81,7 @@ struct TsbScanEntry {
 /// historical data is reached through history sibling chains from current
 /// nodes. This preserves Figure 1's node-level behavior and the Π-tree
 /// generality claim while keeping the index single-dimension.
-class TsbTree {
+class TsbTree : public SmoTree {
  public:
   TsbTree(EngineContext* ctx, PageId root);
   TsbTree(const TsbTree&) = delete;
@@ -132,6 +136,9 @@ class TsbTree {
   Status History(Transaction* txn, const Slice& key,
                  std::vector<TsbVersion>* versions);
 
+  /// Executes a completing atomic action: an index-term posting (§5.3).
+  Status ExecuteJob(const CompletionJob& job) override;
+
   /// Structural sanity checker for the TSB instance: current-level B-link
   /// invariants plus history-chain time ordering.
   Status CheckWellFormed(std::string* report) const;
@@ -140,7 +147,6 @@ class TsbTree {
   /// chains) as text — used by bench_fig1_tsb to reproduce Figure 1.
   Status DumpStructure(std::string* out) const;
 
-  PageId root() const { return root_; }
   const TsbStats& stats() const { return stats_; }
 
   // Composite-key helpers (exposed for tests).
@@ -160,36 +166,26 @@ class TsbTree {
   static bool DecodeHistoryTerm(const Slice& v, HistoryTerm* term);
   static bool GetHistoryTerm(const NodeRef& node, HistoryTerm* term);
 
-  /// Descends the current tree to the leaf covering the policy's key,
-  /// latched in `mode`; crossed side pointers (possibly unposted key
-  /// splits) are appended to `hops` when non-null.
-  Status Descend(const TsbPolicy& policy, LatchMode mode,
-                 std::vector<SideHop>* hops, PageHandle* leaf);
-
-  /// Completes the key splits whose side pointers a descent for `key`
-  /// crossed (§5.1), skipping any a move lock still covers (§4.2.2).
-  void PostCrossedSplits(const Slice& key, const std::vector<SideHop>& hops);
+  /// The posting action's Search step: B-link routing on the composite key.
+  Status Search(OpCtx* op, const CompletionJob& job, Descent* d) override;
 
   /// Splits the X-latched current leaf by time at `t` (atomic action owner
   /// `action`): new historical node takes a full copy; dead versions are
   /// pruned from the current node.
   Status TimeSplit(Transaction* action, PageHandle& leaf, TsbTime t);
 
-  /// Splits the X-latched current leaf by key (atomic action), copying the
-  /// history term into the new sibling. Returns the new sibling and its
-  /// low key for posting.
-  Status KeySplit(Transaction* action, PageHandle& leaf, PageId* sibling,
-                  std::string* split_key);
+  /// The key split of an X-latched current node (leaf or index), copying a
+  /// leaf's history term into the new sibling (Figure 1).
+  Status SplitNode(Transaction* action, PageHandle& node,
+                   PageId* sibling) override;
 
-  /// Grows the root exactly like the Π-tree (immortal root page).
-  Status GrowRoot(Transaction* action, PageHandle& root_h);
+  /// The split kind for a full leaf (§2.2.2 policy): a time split when
+  /// enough versions are dead, else a key split (a root leaf grows).
+  Status SplitFullLeaf(Transaction* owner, PageHandle& leaf, PageId made[2],
+                       bool* grew) override;
 
-  /// Posts (sep -> sibling) into the parent level, completing key splits.
-  Status PostKeySplit(const Slice& approx_key);
-
-  /// Picks and performs the split kind for a full leaf (§2.2.2 policy:
-  /// time split when enough dead versions, else key split).
-  Status SplitLeaf(PageHandle* leaf, const Slice& key);
+  /// §4.2.1: whether the leaf holds a version of a key `user` X-locked.
+  bool MovesOwnRecords(Transaction* user, const NodeRef& leaf) const override;
 
   Status WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
                       bool tombstone, const Slice& value);
@@ -201,8 +197,6 @@ class TsbTree {
                       const Slice& value);
   TsbTime AllocateVersionTs(Transaction* txn);
 
-  EngineContext* const ctx_;
-  const PageId root_;
   std::atomic<TsbTime> clock_{1};
   mutable TsbStats stats_;
 };
@@ -216,6 +210,9 @@ class TsbPolicy {
   TsbPolicy(const Slice& key, TsbTime t);
   TsbPolicy(const TsbPolicy&) = delete;
   TsbPolicy& operator=(const TsbPolicy&) = delete;
+
+  /// CompositeKey(key, 0): the key current nodes are routed by.
+  const std::string& current_key() const { return composite_; }
 
   bool Covers(const NodeRef& node) const { return current_.Covers(node); }
   Step Route(const NodeRef& node, uint8_t target_level) const {

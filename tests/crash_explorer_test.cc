@@ -226,6 +226,50 @@ TEST(CrashExplorerTest, CheckpointerTruncationNeverStrandsRecovery) {
             << "\n";
 }
 
+// The TSB regime: the same crash-state space over a TSB-tree workload of
+// Puts and Erases at explicit version times, whose key splits grow the root
+// and queue index-term postings for the background workers. At every crash
+// point each provably committed version must read back as of its own time,
+// and the recovered tree must be well-formed.
+TEST(CrashExplorerTest, TsbVersionsRecoverAsOfEverySyncPoint) {
+  ExplorerConfig cfg;
+  cfg.seed = TestSeed(0x75B);
+  cfg.tsb = true;
+  SCOPED_TRACE("repro: PITREE_TEST_SEED=" + std::to_string(cfg.seed));
+
+  WorkloadTrace trace;
+  ASSERT_TRUE(RunScriptedWorkload(cfg, &trace));
+  std::cout << "[explorer/tsb] workload recorded: " << trace.events.size()
+            << " sync points, " << trace.committed_ops.size()
+            << " committed keys" << std::endl;
+  ASSERT_GE(trace.events.size(), 20u);
+
+  size_t states = 0;
+  for (size_t n = 0; n <= trace.events.size(); ++n) {
+    SimEnv env;
+    MaterializeCrashImage(trace.events, n, nullptr, &env);
+    ASSERT_TRUE(CheckPostRecoveryOracle(
+        &env, trace, cfg, "tsb, crash after sync point " + std::to_string(n)));
+    ++states;
+    const SyncEvent& ev = n < trace.events.size() ? trace.events[n]
+                                                  : trace.events.back();
+    if (n == trace.events.size() || ev.atomic_replace ||
+        ev.bytes.size() < 2) {
+      continue;
+    }
+    const TornVariant torn{ev.bytes.size() / 2, true};
+    SimEnv tenv;
+    MaterializeCrashImage(trace.events, n, &torn, &tenv);
+    ASSERT_TRUE(CheckPostRecoveryOracle(
+        &tenv, trace, cfg,
+        "tsb, torn write at sync point " + std::to_string(n)));
+    ++states;
+  }
+  std::cout << "[explorer/tsb] seed=" << cfg.seed
+            << " sync_points=" << trace.events.size()
+            << " recoveries=" << states << "\n";
+}
+
 // A transient sync failure at commit must surface as the injected Status —
 // the transaction's durability was NOT achieved — and the database must
 // remain fully usable afterward.

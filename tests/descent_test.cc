@@ -1,12 +1,15 @@
-// Tests for the Π-tree traversal kernel (pitree/descent.h) through the three
-// tree instances that run it:
-//  - every error exit of a descent releases the latches it holds: after an
-//    I/O error fetching the next node, the current node must be free
-//    (PageHandle only unpins, and a leaked latch hangs the next root split
-//    or posting);
-//  - model checks of the B-link tree against std::map and of the TSB-tree
-//    against a per-key version list, on a pool small enough that reads are
-//    answered by both the optimistic form and the latched fallback.
+// Tests for the Π-tree traversal and structure-modification kernels
+// (pitree/descent.h, pitree/smo.h) through the three tree instances that
+// run them:
+//  - every error exit of a descent, and of a posting action, releases the
+//    latches it holds: after an I/O error fetching the next node, the
+//    current node must be free (PageHandle only unpins, and a leaked latch
+//    hangs the next root split or posting);
+//  - model checks of the B-link tree against std::map, of the TSB-tree
+//    against a per-key version list, and of the multi-attribute tree
+//    against a point map, on a pool small enough that pages are evicted and
+//    (for the first two) reads are answered by both the optimistic form and
+//    the latched fallback.
 
 #include <gtest/gtest.h>
 
@@ -190,6 +193,100 @@ TEST_F(DescentErrorTest, MdGetReleasesLatchesOnReadError) {
 }
 
 // ---------------------------------------------------------------------------
+// Latch release on posting-action errors
+// ---------------------------------------------------------------------------
+
+/// A posting job for the level-1 parent of `key` that names no real sibling,
+/// so the action always reaches its child fetch: on a two-level tree with a
+/// resident root, that fetch is the posting action's first read.
+CompletionJob PostingJob(PageId root, const std::string& key) {
+  CompletionJob job;
+  job.kind = CompletionJob::Kind::kPostIndexTerm;
+  job.tree_root = root;
+  job.level = 1;
+  job.key = key;
+  return job;
+}
+
+/// True when `root` is a two-level tree's root.
+bool RootAtLevel1(Database* db, PageId root) {
+  PageHandle h;
+  return db->context()->pool->FetchPage(root, &h).ok() &&
+         NodeRef(h.data()).level() == 1;
+}
+
+TEST_F(DescentErrorTest, PiTreePostingReleasesLatchesOnReadError) {
+  Open();
+  PiTree* tree = nullptr;
+  ASSERT_TRUE(db_->CreateIndex("t", &tree).ok());
+  Transaction* txn = db_->Begin();
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(tree->Insert(txn, Key(i), Value(i)).ok());
+  }
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  Reopen();
+  ASSERT_TRUE(db_->GetIndex("t", &tree).ok());
+  ASSERT_TRUE(RootAtLevel1(db_.get(), tree->root()));
+  FailNextChildFetch(tree->root());
+  Status s = tree->ExecuteJob(PostingJob(tree->root(), Key(0)));
+  EXPECT_TRUE(s.IsIOError() || s.ok()) << s.ToString();
+  EXPECT_TRUE(RootUnlatched(tree->root()));
+  std::string report;
+  EXPECT_TRUE(tree->CheckWellFormed(&report).ok()) << report;
+}
+
+TEST_F(DescentErrorTest, TsbPostingReleasesLatchesOnReadError) {
+  Open();
+  TsbTree* tree = nullptr;
+  ASSERT_TRUE(db_->CreateTsbIndex("t", &tree).ok());
+  Transaction* txn = db_->Begin();
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(tree->Put(txn, Key(i), Value(i)).ok());
+  }
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  Reopen();
+  ASSERT_TRUE(db_->GetTsbIndex("t", &tree).ok());
+  ASSERT_TRUE(RootAtLevel1(db_.get(), tree->root()));
+  FailNextChildFetch(tree->root());
+  Status s = tree->ExecuteJob(
+      PostingJob(tree->root(), TsbTree::CompositeKey(Key(0), 0)));
+  EXPECT_TRUE(s.IsIOError() || s.ok()) << s.ToString();
+  EXPECT_TRUE(RootUnlatched(tree->root()));
+  std::string report;
+  EXPECT_TRUE(tree->CheckWellFormed(&report).ok()) << report;
+}
+
+TEST_F(DescentErrorTest, MdPostingReleasesLatchesOnReadError) {
+  Open();
+  PageId root = kInvalidPageId;
+  Transaction* txn = db_->Begin();
+  ASSERT_TRUE(EngineAllocPage(db_->context(), txn, &root).ok());
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  ASSERT_TRUE(MdTree::Create(db_->context(), root).ok());
+  auto tree = std::make_unique<MdTree>(db_->context(), root);
+  Random rnd(11);
+  std::vector<std::pair<uint32_t, uint32_t>> points;
+  txn = db_->Begin();
+  for (int i = 0; i < 1500; ++i) {
+    uint32_t x = static_cast<uint32_t>(rnd.Uniform(1u << 20));
+    uint32_t y = static_cast<uint32_t>(rnd.Uniform(1u << 20));
+    if (tree->Insert(txn, x, y, Value(i)).ok()) points.emplace_back(x, y);
+  }
+  ASSERT_TRUE(db_->Commit(txn).ok());
+  tree.reset();
+  Reopen();
+  tree = std::make_unique<MdTree>(db_->context(), root);
+  ASSERT_TRUE(RootAtLevel1(db_.get(), root));
+  FailNextChildFetch(root);
+  Status s = tree->ExecuteJob(PostingJob(
+      root, MdTree::PointKey(points[0].first, points[0].second)));
+  EXPECT_TRUE(s.IsIOError() || s.ok()) << s.ToString();
+  EXPECT_TRUE(RootUnlatched(root));
+  std::string report;
+  EXPECT_TRUE(tree->CheckCoverage(points, &report).ok()) << report;
+}
+
+// ---------------------------------------------------------------------------
 // Model checks: both descent forms against simple models
 // ---------------------------------------------------------------------------
 
@@ -346,6 +443,83 @@ TEST(DescentModelTest, TsbTreeAgreesWithVersionModel) {
   EXPECT_GT(st.history_hops.load(), 0u);
   std::string report;
   EXPECT_TRUE(tree->CheckWellFormed(&report).ok()) << report;
+}
+
+TEST(DescentModelTest, MdTreeAgreesWithPointMap) {
+  SimEnv env;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(SmallPoolOptions(), &env, "db", &db).ok());
+  PageId root = kInvalidPageId;
+  Transaction* txn = db->Begin();
+  ASSERT_TRUE(EngineAllocPage(db->context(), txn, &root).ok());
+  ASSERT_TRUE(db->Commit(txn).ok());
+  ASSERT_TRUE(MdTree::Create(db->context(), root).ok());
+  MdTree tree(db->context(), root);
+  using Point = std::pair<uint32_t, uint32_t>;
+  std::map<Point, std::string> model;
+  // A small coordinate domain, so inserts meet present points and deletes
+  // meet absent ones.
+  constexpr uint32_t kSide = 96;
+  Random rnd(43);
+  auto range_check = [&](const MdRect& q) {
+    std::vector<MdPoint> got;
+    Transaction* t = db->Begin();
+    ASSERT_TRUE(tree.RangeQuery(t, q, &got).ok());
+    ASSERT_TRUE(db->Commit(t).ok());
+    std::map<Point, std::string> want;
+    for (const auto& [p, v] : model) {
+      if (q.Contains(p.first, p.second)) want[p] = v;
+    }
+    ASSERT_EQ(got.size(), want.size()) << q.ToString();
+    for (const MdPoint& p : got) {
+      auto it = want.find({p.x, p.y});
+      ASSERT_TRUE(it != want.end()) << p.x << "," << p.y;
+      ASSERT_EQ(p.value, it->second);
+    }
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const Point p{static_cast<uint32_t>(rnd.Uniform(kSide)),
+                  static_cast<uint32_t>(rnd.Uniform(kSide))};
+    const bool present = model.count(p) > 0;
+    const uint64_t kind = rnd.Uniform(16);
+    if (kind == 0) {
+      uint32_t x = static_cast<uint32_t>(rnd.Uniform(kSide));
+      uint32_t y = static_cast<uint32_t>(rnd.Uniform(kSide));
+      ASSERT_NO_FATAL_FAILURE(range_check(
+          {x, y, x + static_cast<uint32_t>(rnd.Uniform(kSide)) + 1,
+           y + static_cast<uint32_t>(rnd.Uniform(kSide)) + 1}));
+      continue;
+    }
+    txn = db->Begin();
+    if (kind < 7) {
+      const std::string value = Value(op) + std::to_string(op);
+      Status s = tree.Insert(txn, p.first, p.second, value);
+      ASSERT_EQ(s.ok(), !present) << s.ToString();
+      if (s.ok()) model[p] = value;
+    } else if (kind < 11) {
+      Status s = tree.Delete(txn, p.first, p.second);
+      ASSERT_EQ(s.ok(), present) << s.ToString();
+      if (s.ok()) model.erase(p);
+    } else {
+      std::string got;
+      Status s = tree.Get(txn, p.first, p.second, &got);
+      ASSERT_EQ(s.ok(), present) << p.first << "," << p.second << ": "
+                                 << s.ToString();
+      if (present) {
+        ASSERT_EQ(got, model[p]);
+      }
+    }
+    ASSERT_TRUE(db->Commit(txn).ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(range_check(MdRect()));
+  std::vector<Point> probes;
+  for (uint32_t x = 0; x < kSide; x += 5) {
+    for (uint32_t y = 0; y < kSide; y += 5) probes.emplace_back(x, y);
+  }
+  std::string report;
+  EXPECT_TRUE(tree.CheckCoverage(probes, &report).ok()) << report;
+  EXPECT_GT(tree.stats().splits.load(), 10u);
+  EXPECT_GT(db->pool_stats().total.evictions, 0u);
 }
 
 }  // namespace

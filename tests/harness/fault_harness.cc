@@ -70,12 +70,146 @@ Options WorkloadOptions(const ExplorerConfig& cfg) {
   return opts;
 }
 
+std::string TsbValue(const std::string& key, uint64_t t) {
+  std::string v = key + "@" + std::to_string(t);
+  v.resize(160, 'v');
+  return v;
+}
+
+namespace {
+
+/// The TSB regime's workload (ExplorerConfig::tsb), the same phases as the
+/// B-link one: concurrent Puts of disjoint key ranges (leaf key splits,
+/// their postings run by the background workers, root grows), a second
+/// round of versions and Erases (history), a fuzzy checkpoint, later Puts,
+/// an aborted transaction and a loser in flight.
+::testing::AssertionResult RunTsbWorkload(const ExplorerConfig& cfg,
+                                          WorkloadTrace* out) {
+  SimEnv env;
+  FaultPlan plan;
+  plan.EnableRecording();
+  Options opts = WorkloadOptions(cfg);
+  opts.fault_plan = &plan;
+  std::unique_ptr<Database> db;
+  Status s = Database::Open(opts, &env, kDbName, &db);
+  if (!s.ok()) {
+    return ::testing::AssertionFailure() << "open: " << s.ToString();
+  }
+  TsbTree* tree = nullptr;
+  s = db->CreateTsbIndex(kIndexName, &tree);
+  if (!s.ok()) {
+    return ::testing::AssertionFailure() << "create index: " << s.ToString();
+  }
+  WalManager* wal = db->context()->wal;
+  std::mutex trace_mu;
+  std::atomic<int> errors{0};
+  std::string last_error;
+
+  // One version of `key` (a tombstone when `erase`) at a fresh time, in its
+  // own transaction, retried on conflict terminations; a commit records
+  // its durability bracket and the version's time.
+  auto write_one = [&](const std::string& key, bool erase) {
+    for (int attempt = 0; attempt < 100; ++attempt) {
+      Transaction* txn = db->Begin();
+      const TsbTime t = tree->Now();
+      Status os = erase ? tree->Erase(txn, key, t)
+                        : tree->Put(txn, key, TsbValue(key, t), t);
+      if (os.ok()) {
+        Lsn lower = wal->next_lsn();
+        Status cs = db->Commit(txn);
+        std::lock_guard<std::mutex> lk(trace_mu);
+        if (!cs.ok()) {
+          errors.fetch_add(1);
+          last_error = "commit " + key + ": " + cs.ToString();
+          return;
+        }
+        out->committed_ops[key].push_back(
+            {lower, wal->durable_lsn(), erase, t});
+        return;
+      }
+      (void)db->Abort(txn);
+      if (!os.IsBusy() && !os.IsDeadlock() && !os.IsInvalidArgument()) {
+        errors.fetch_add(1);
+        std::lock_guard<std::mutex> lk(trace_mu);
+        last_error = "op " + key + ": " + os.ToString();
+        return;
+      }
+    }
+    errors.fetch_add(1);
+    std::lock_guard<std::mutex> lk(trace_mu);
+    last_error = "op " + key + ": retries exhausted";
+  };
+
+  std::vector<std::thread> writers;
+  for (int t = 0; t < cfg.threads; ++t) {
+    writers.emplace_back([&, t] {
+      Random rnd(cfg.seed * 7919 + static_cast<uint64_t>(t));
+      std::vector<int> order(cfg.keys_per_thread);
+      for (int i = 0; i < cfg.keys_per_thread; ++i) order[i] = i;
+      for (int i = cfg.keys_per_thread - 1; i > 0; --i) {
+        std::swap(order[i], order[rnd.Uniform(static_cast<uint64_t>(i) + 1)]);
+      }
+      for (int i : order) write_one(Key(t * 100000 + i), false);
+      // A second round: newer versions of every third key, tombstones for
+      // every fifth.
+      for (int i : order) {
+        if (i % 3 == 0) write_one(Key(t * 100000 + i), false);
+        if (i % 5 == 0) write_one(Key(t * 100000 + i), true);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+
+  s = db->Checkpoint();
+  if (!s.ok()) {
+    return ::testing::AssertionFailure() << "checkpoint: " << s.ToString();
+  }
+  for (int i = 0; i < 12; ++i) write_one(Key(500000 + i), false);
+
+  auto uncommitted = [&](Transaction* txn, int first) -> Status {
+    for (int i = 0; i < 8; ++i) {
+      std::string k = Key(first + i);
+      const TsbTime t = tree->Now();
+      PITREE_RETURN_IF_ERROR(tree->Put(txn, k, TsbValue(k, t), t));
+      out->never_committed.push_back(k);
+    }
+    return Status::OK();
+  };
+  Transaction* aborted = db->Begin();
+  s = uncommitted(aborted, 600000);
+  if (s.ok()) s = db->Abort(aborted);
+  if (!s.ok()) {
+    return ::testing::AssertionFailure() << "aborted txn: " << s.ToString();
+  }
+  // The loser: its versions are made durable without a commit record, so
+  // recovery must undo them (and keep the key splits they triggered).
+  Transaction* loser = db->Begin();
+  s = uncommitted(loser, 700000);
+  if (s.ok()) s = wal->FlushAll();
+  if (!s.ok()) {
+    return ::testing::AssertionFailure() << "loser: " << s.ToString();
+  }
+  if (errors.load() != 0) {
+    return ::testing::AssertionFailure()
+           << errors.load() << " workload ops failed; last: " << last_error;
+  }
+  if (tree->stats().key_splits.load() == 0) {
+    return ::testing::AssertionFailure() << "workload split no TSB leaf";
+  }
+  db.reset();
+  out->events = plan.TakeRecording();
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
 ::testing::AssertionResult RunScriptedWorkload(const ExplorerConfig& cfg,
                                                WorkloadTrace* out) {
   out->seed = cfg.seed;
   out->events.clear();
   out->committed_ops.clear();
   out->never_committed.clear();
+  if (cfg.tsb) return RunTsbWorkload(cfg, out);
 
   SimEnv env;
   FaultPlan plan;
@@ -458,6 +592,75 @@ namespace {
   return ::testing::AssertionSuccess();
 }
 
+// The TSB regime's VerifyRecoveredDb: as-of reads at every provably
+// committed version's time, current reads per ClassifyKey, never-committed
+// keys absent, well-formedness, and new work accepted.
+::testing::AssertionResult VerifyRecoveredTsb(Database* db,
+                                              const WorkloadTrace& trace,
+                                              Lsn prefix_end,
+                                              const std::string& label) {
+  auto fail = [&label]() {
+    return ::testing::AssertionFailure() << label << ": ";
+  };
+  TsbTree* tree = nullptr;
+  if (!db->GetTsbIndex(kIndexName, &tree).ok()) {
+    for (const auto& [key, ops] : trace.committed_ops) {
+      if (ClassifyKey(ops, prefix_end) == Expect::kPresent) {
+        return fail() << "index missing but " << key << " is durable";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+  std::string report;
+  if (!tree->CheckWellFormed(&report).ok()) {
+    return fail() << "not well-formed after recovery: " << report;
+  }
+  auto expect = [&](const std::string& key, TsbTime t, const KeyOp* op)
+      -> ::testing::AssertionResult {
+    std::string v;
+    Status g = tree->GetAsOf(nullptr, key, t, &v);
+    if (op == nullptr || op->is_delete) {
+      if (g.IsNotFound()) return ::testing::AssertionSuccess();
+      return fail() << key << " as of " << t << " should be absent ("
+                    << g.ToString() << ")";
+    }
+    if (g.ok() && v == TsbValue(key, op->version)) {
+      return ::testing::AssertionSuccess();
+    }
+    return fail() << key << " as of " << t << " lost version "
+                  << op->version << " (" << g.ToString() << ")";
+  };
+  for (const auto& [key, ops] : trace.committed_ops) {
+    for (const KeyOp& op : ops) {
+      if (prefix_end < op.upper) continue;  // not provably committed
+      ::testing::AssertionResult r = expect(key, op.version, &op);
+      if (!r) return r;
+    }
+    const Expect e = ClassifyKey(ops, prefix_end);
+    if (e == Expect::kUnknown) continue;
+    const KeyOp* latest = nullptr;
+    for (const KeyOp& op : ops) {
+      if (prefix_end >= op.upper) latest = &op;
+    }
+    ::testing::AssertionResult r =
+        expect(key, kTsbTimeMax, e == Expect::kPresent ? latest : nullptr);
+    if (!r) return r;
+  }
+  for (const std::string& key : trace.never_committed) {
+    ::testing::AssertionResult r = expect(key, kTsbTimeMax, nullptr);
+    if (!r) return r;
+  }
+  Transaction* txn = db->Begin();
+  Status s = tree->Put(txn, "post-crash-probe", "ok");
+  if (s.ok()) s = db->Commit(txn);
+  else (void)db->Abort(txn);
+  if (!s.ok()) return fail() << "probe put: " << s.ToString();
+  if (!tree->CheckWellFormed(&report).ok()) {
+    return fail() << "not well-formed after probe: " << report;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace
 
 ::testing::AssertionResult CheckPostRecoveryOracle(SimEnv* env,
@@ -487,6 +690,7 @@ namespace {
     return ::testing::AssertionFailure()
            << label << ": recovery failed: " << s.ToString();
   }
+  if (cfg.tsb) return VerifyRecoveredTsb(db.get(), trace, prefix_end, label);
   return VerifyRecoveredDb(db.get(), trace, prefix_end, max_commit_ts, label);
 }
 

@@ -29,6 +29,7 @@ struct KeyOp {
   Lsn lower = 0;
   Lsn upper = 0;
   bool is_delete = false;
+  uint64_t version = 0;  // TSB workload: the version's time (else 0)
 };
 
 /// Everything the crash-schedule explorer needs from one recorded run of
@@ -60,6 +61,11 @@ struct ExplorerConfig {
   uint64_t checkpoint_interval_ms = 0;
   uint64_t checkpoint_log_bytes = 0;
   uint64_t wal_segment_bytes = 0;
+  /// Run the TSB workload instead: versions Put and Erased at explicit
+  /// times on a TSB index, with its key splits' index-term postings queued
+  /// to the background workers. The oracle then checks as-of reads at the
+  /// time of every provably committed version.
+  bool tsb = false;
 };
 
 /// What the oracle may assert about a key at WAL prefix E.
@@ -70,6 +76,9 @@ Expect ClassifyKey(const std::vector<KeyOp>& ops, Lsn prefix_end);
 /// Options the scripted workload runs under (background completion through
 /// `cfg.maintenance_workers` sharded workers, consolidation on).
 Options WorkloadOptions(const ExplorerConfig& cfg);
+
+/// The value the TSB workload writes for `key`'s version at time `t`.
+std::string TsbValue(const std::string& key, uint64_t t);
 
 /// Phase 1: runs the scripted concurrent workload — seed-shuffled inserts
 /// from `cfg.threads` writers (volume enough for leaf splits and index
@@ -105,6 +114,8 @@ Lsn ValidWalPrefix(SimEnv* env, const std::string& wal_base);
 /// deleted keys absent); never-committed keys are absent; the §2.1.3
 /// well-formedness invariants hold (CheckWellFormed plus AuditPath over
 /// sampled root-to-leaf paths); and the recovered tree accepts new work.
+/// Under `cfg.tsb`: every provably committed version reads back as of its
+/// time, current reads follow ClassifyKey, and CheckWellFormed holds.
 /// `label` names the crash point in failure messages.
 ::testing::AssertionResult CheckPostRecoveryOracle(SimEnv* env,
                                                    const WorkloadTrace& trace,

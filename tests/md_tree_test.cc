@@ -25,8 +25,8 @@ namespace pitree {
 class MdTreeTestPeer {
  public:
   static Status SplitNode(MdTree* tree, Transaction* action, PageHandle& h,
-                          PageId* sibling, MdRect* rect) {
-    return tree->SplitNode(action, h, sibling, rect);
+                          PageId* sibling) {
+    return tree->SplitNode(action, h, sibling);
   }
 };
 
@@ -195,11 +195,9 @@ TEST_F(MdTreeTest, IndexNodeSplitClipsAndMarksMultiParentTerms) {
                     .ok());
   }
   PageId sibling = kInvalidPageId;
-  MdRect sib_rect;
   uint64_t clips_before = tree_->stats().clips.load();
-  ASSERT_TRUE(MdTreeTestPeer::SplitNode(tree_.get(), action, h, &sibling,
-                                        &sib_rect)
-                  .ok());
+  ASSERT_TRUE(
+      MdTreeTestPeer::SplitNode(tree_.get(), action, h, &sibling).ok());
   h.latch().ReleaseX();
   h.Reset();
   ASSERT_TRUE(ctx->txns->Commit(action).ok());
@@ -233,6 +231,50 @@ TEST_F(MdTreeTest, IndexNodeSplitClipsAndMarksMultiParentTerms) {
   EXPECT_EQ(terms_l + terms_r, 6);
   // §3.3: a consolidation pass would skip node 505 — both parents still
   // reference it; the mark is what makes that test possible.
+}
+
+TEST_F(MdTreeTest, PostingsSettleSoGetsStopCrossingSidePointers) {
+  // The Figure 2 workload. Every split's index term must reach the parent
+  // on the search path, clipped to the term the search came through, so
+  // that the smallest-area routing rule prefers it over the stale term
+  // (§5.3): after one pass of Gets has completed whatever it crossed, Gets
+  // cross (almost) no side pointers, and no posting job walks the tree
+  // more than once.
+  Random rnd(17);
+  std::vector<std::pair<uint32_t, uint32_t>> points;
+  const std::string value(300, 'p');
+  for (int i = 0; i < 3000; ++i) {
+    uint32_t x = static_cast<uint32_t>(rnd.Uniform(100000));
+    uint32_t y = static_cast<uint32_t>(rnd.Uniform(100000));
+    if (InsertOne(x, y, value).ok()) points.emplace_back(x, y);
+  }
+  const MdStats& st = tree_->stats();
+  ASSERT_GT(st.splits.load(), 100u);
+  // Side pointers one plain descent crosses, on average.
+  uint64_t side = st.side_traversals.load();
+  std::string report;
+  ASSERT_TRUE(tree_->CheckCoverage(points, &report).ok()) << report;
+  const double per_descent =
+      static_cast<double>(st.side_traversals.load() - side) / points.size();
+
+  side = st.side_traversals.load();
+  const uint64_t jobs_before =
+      st.posts_performed.load() + st.posts_obsolete.load();
+  std::string v;
+  for (const auto& [x, y] : points) ASSERT_TRUE(GetOne(x, y, &v).ok());
+  const uint64_t settle_hops = st.side_traversals.load() - side;
+  const uint64_t jobs =
+      st.posts_performed.load() + st.posts_obsolete.load() - jobs_before;
+  // Each Get and each posting job descends once.
+  EXPECT_LE(static_cast<double>(settle_hops),
+            (points.size() + jobs) * (per_descent + 1));
+
+  side = st.side_traversals.load();
+  for (const auto& [x, y] : points) ASSERT_TRUE(GetOne(x, y, &v).ok());
+  EXPECT_LT(static_cast<double>(st.side_traversals.load() - side) /
+                points.size(),
+            1.0);
+  ASSERT_TRUE(tree_->CheckCoverage(points, &report).ok()) << report;
 }
 
 TEST_F(MdTreeTest, RangeQueryMatchesModel) {

@@ -160,6 +160,45 @@ TEST_F(TsbTreeTest, InsertHeavyWorkloadForcesKeySplits) {
   }
 }
 
+TEST_F(TsbTreeTest, IndexLevelSplitsArePostedSoReadsSettle) {
+  // Long random-order keys give index nodes a small fanout: the tree grows
+  // three levels, and index nodes below the root split too. Every split —
+  // leaf or index — must get its index term posted one level up (§5.3), so
+  // once one pass of reads has completed what it crossed, reads stop
+  // crossing side pointers.
+  const int kKeys = 1500;
+  auto long_key = [](int i) { return Key(i) + std::string(400, 'k'); };
+  std::vector<int> order(kKeys);
+  for (int i = 0; i < kKeys; ++i) order[i] = i;
+  Random rnd(31);
+  for (int i = kKeys - 1; i > 0; --i) {
+    std::swap(order[i], order[rnd.Uniform(static_cast<uint64_t>(i) + 1)]);
+  }
+  const std::string value(20, 'v');
+  for (int i : order) {
+    ASSERT_TRUE(PutOne(long_key(i), value, tree_->Now()).ok()) << i;
+  }
+  {
+    PageHandle root;
+    ASSERT_TRUE(db_->context()->pool->FetchPage(tree_->root(), &root).ok());
+    ASSERT_GE(NodeRef(root.data()).level(), 2);
+  }
+  auto side_hops_per_read = [&] {
+    const uint64_t before = tree_->stats().side_traversals.load();
+    std::string v;
+    for (int i = 0; i < kKeys; ++i) {
+      EXPECT_TRUE(GetAsOf(long_key(i), kTsbTimeMax, &v).ok()) << i;
+    }
+    return static_cast<double>(tree_->stats().side_traversals.load() -
+                               before) /
+           kKeys;
+  };
+  side_hops_per_read();  // settle: completes every split the reads cross
+  EXPECT_LT(side_hops_per_read(), 0.05);
+  std::string report;
+  EXPECT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
+}
+
 TEST_F(TsbTreeTest, HistoryQueriesAfterTimeSplitsCrossHistoryChain) {
   std::string value(300, 'h');
   std::map<int, TsbTime> round_times;
@@ -254,11 +293,24 @@ TEST_F(TsbTreeTest, AbortRemovesUncommittedVersions) {
   Transaction* txn = db_->Begin();
   ASSERT_TRUE(tree_->Put(txn, "k", "uncommitted", 20).ok());
   ASSERT_TRUE(tree_->Put(txn, "fresh", "gone", 21).ok());
+  // Enough versions to split the transaction's own leaves, by key and by
+  // time: undo is page-oriented, so those splits must run inside it and be
+  // undone with it (§4.2.1).
+  const std::string value(150, 'u');
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree_->Put(txn, Key(i % 120), value, 30 + i).ok()) << i;
+  }
+  ASSERT_GT(tree_->stats().key_splits.load(), 0u);
   ASSERT_TRUE(db_->Abort(txn).ok());
   std::string v;
-  ASSERT_TRUE(GetAsOf("k", 100, &v).ok());
+  ASSERT_TRUE(GetAsOf("k", kTsbTimeMax, &v).ok());
   EXPECT_EQ(v, "committed");
-  EXPECT_TRUE(GetAsOf("fresh", 100, &v).IsNotFound());
+  EXPECT_TRUE(GetAsOf("fresh", kTsbTimeMax, &v).IsNotFound());
+  for (int i = 0; i < 120; ++i) {
+    EXPECT_TRUE(GetAsOf(Key(i), kTsbTimeMax, &v).IsNotFound()) << i;
+  }
+  std::string report;
+  EXPECT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
 }
 
 TEST_F(TsbTreeTest, StructureDumpShowsHistoryAndKeySiblings) {
